@@ -7,6 +7,7 @@
 #include "observe/Profiler.h"
 #include "observe/TraceStream.h"
 #include "runtime/Buffer.h"
+#include "runtime/Runtime.h"
 
 #include <map>
 #include <set>
@@ -132,6 +133,15 @@ std::string sanitize(const std::string &Name) {
   return Out;
 }
 
+/// The generated code's hl_vtable, expanded from the same rows as
+/// runtime/Runtime.h's RuntimeVTable.
+#define HALIDE_VTABLE_FIELD_C(Ret, Name, Params)                              \
+  "  " #Ret " (*" #Name ")" #Params ";\n"
+constexpr const char *VTableTypedef =
+    "typedef struct hl_vtable {\n" HALIDE_RUNTIME_VTABLE(
+        HALIDE_VTABLE_FIELD_C) "} hl_vtable;\n";
+#undef HALIDE_VTABLE_FIELD_C
+
 /// Collects free variable names and referenced buffer names of a statement
 /// (respecting Let/LetStmt/For/Allocate shadowing). Used to build closures
 /// for parallel loop bodies.
@@ -152,15 +162,6 @@ public:
   void visit(const Store *Op) override {
     if (!ShadowedBufs.contains(Op->Name))
       BufferNames.insert(Op->Name);
-    IRVisitor::visit(Op);
-  }
-  void visit(const Call *Op) override {
-    // A trace_store intrinsic replaces the Store node outright, so the
-    // stored-to buffer is named only by its StringImm argument here.
-    if (Op->CallKind == CallType::Intrinsic && Op->Name == Call::TraceStore)
-      if (const StringImm *Buf = Op->Args.at(0).as<StringImm>())
-        if (!ShadowedBufs.contains(Buf->Value))
-          BufferNames.insert(Buf->Value);
     IRVisitor::visit(Op);
   }
   void visit(const Let *Op) override {
@@ -202,21 +203,7 @@ public:
     Out << "/* Generated by the halide-pldi13-repro compiler. Do not edit. "
            "*/\n"
         << "#include <stdint.h>\n#include <math.h>\n#include <string.h>\n\n"
-        << "typedef struct hl_vtable {\n"
-        << "  void *(*Malloc)(int64_t);\n  void (*Free)(void *);\n"
-        << "  void (*ParFor)(int32_t, int32_t, void (*)(int32_t, void *), "
-           "void *);\n"
-        << "  void (*GpuLaunch)(int32_t, void (*)(int32_t, void *), void "
-           "*);\n"
-        << "  void (*Abort)(const char *);\n"
-        << "  void (*ProfEnter)(int32_t);\n  void (*ProfExit)(int32_t);\n"
-        << "  void (*TraceLoad)(int32_t, int32_t, int32_t, const int32_t *, "
-           "const uint64_t *);\n"
-        << "  void (*TraceStore)(int32_t, int32_t, int32_t, const int32_t *, "
-           "const uint64_t *);\n"
-        << "  void (*TraceBegin)(int32_t, int32_t, const int32_t *);\n"
-        << "  void (*TraceEnd)(int32_t);\n"
-        << "} hl_vtable;\n\n"
+        << VTableTypedef << "\n"
         << TypedefText.str() << "\n"
         << HelperText.str() << "\n"
         << FunctionText.str() << "\n"
@@ -986,7 +973,7 @@ private:
   }
 
   //===------------------------------------------------------------------===//
-  // Value tracing (Target::Trace only; see transforms/InjectTracing.h)
+  // Runtime hooks (instrumented targets only; see transforms/Instrument.h)
   //===------------------------------------------------------------------===//
 
   /// C expression for one lane's normalized 64-bit value word (the bit
@@ -1004,97 +991,80 @@ private:
     return "(uint64_t)(int64_t)" + X;
   }
 
-  /// Fills coords/bits arrays from an index temp and a value temp, then
-  /// calls the TraceLoad/TraceStore vtable slot with the stage id and type
-  /// code baked in at codegen time.
-  void emitTraceAccess(const char *Slot, const std::string &StageName, Type T,
-                       const std::string &Val, Type IdxT,
-                       const std::string &Idx) {
-    int Lanes = T.Lanes;
-    std::string Coords = freshName(StageName + "_tc");
-    std::string Bits = freshName(StageName + "_tb");
-    line("int32_t " + Coords + "[" + std::to_string(Lanes) + "];");
-    line("uint64_t " + Bits + "[" + std::to_string(Lanes) + "];");
-    if (T.isScalar()) {
-      line(Coords + "[0] = (int32_t)" + Idx + ";");
-      line(Bits + "[0] = " + traceBitsExpr(T, Val) + ";");
-    } else {
-      line("for (int32_t __l = 0; __l < " + std::to_string(Lanes) +
-           "; ++__l) {");
-      ++Indent;
-      line(Coords + "[__l] = (int32_t)" + laneRef(IdxT, Idx, "__l") + ";");
-      line(Bits + "[__l] = " +
-           traceBitsExpr(T.element(), laneRef(T, Val, "__l")) + ";");
-      --Indent;
-      line("}");
+  /// A runtime hook: each payload value that is not already a let-bound
+  /// variable is hoisted into a temp, which pins the event order to the
+  /// IR's left-to-right evaluation order (C operand order would not).
+  /// The coordinates and value words are packed into arrays and rt->Hook
+  /// is called with the stage id and type code baked in at codegen time.
+  /// Returns the value of a valued hook, "0" otherwise.
+  std::string emitHook(const Call *Op) {
+    const IntImm *Id = Op->Args.at(0).as<IntImm>();
+    const StringImm *Stage = Op->Args.at(1).as<StringImm>();
+    internal_assert(Id && Stage) << "codegen: malformed runtime hook";
+    const int32_t Hook = int32_t(Id->Value);
+    const bool Valued = runtimeHookValued(Hook);
+    std::vector<std::string> Temps;
+    for (size_t I = 2; I < Op->Args.size(); ++I) {
+      const Expr &Arg = Op->Args[I];
+      if (Arg.as<Variable>()) {
+        Temps.push_back(emit(Arg));
+        continue;
+      }
+      Temps.push_back(freshName(Stage->Value + "_h"));
+      line("const " + cTypeOf(Arg.type()) + " " + Temps.back() + " = " +
+           emit(Arg) + ";");
     }
-    line("rt->" + std::string(Slot) + "(" +
-         std::to_string(profilerStageId(StageName)) + ", " +
-         std::to_string(int(traceTypeCode(T.element()))) + ", " +
-         std::to_string(Lanes) + ", " + Coords + ", " + Bits + "); /* " +
-         StageName + " */");
-  }
-
-  /// A trace_load intrinsic: the wrapped Load, evaluated through hoisted
-  /// index and value temps. Hoisting keeps nested trace events inside the
-  /// index firing exactly once and pins the event order to the IR's
-  /// left-to-right evaluation order, which C operand order would not. The
-  /// value goes through the per-lane gather helper regardless of index
-  /// shape — losing the dense-load optimization under trace-on is the
-  /// accepted cost of observing every lane's flat index.
-  std::string emitTraceLoad(const Call *Op) {
-    const StringImm *BufName = Op->Args.at(0).as<StringImm>();
-    const Load *L = Op->Args.at(1).as<Load>();
-    internal_assert(BufName && L) << "codegen: malformed trace_load";
-    Type T = L->NodeType;
-    std::string Idx = freshName(L->Name + "_tidx");
-    line("const " + cTypeOf(L->Index.type()) + " " + Idx + " = " +
-         emit(L->Index) + ";");
-    std::string Val = freshName(L->Name + "_tval");
-    std::string Buf = bufferName(L->Name);
-    if (T.isScalar())
-      line("const " + cTypeOf(T) + " " + Val + " = " + Buf + "[" + Idx +
-           "];");
-    else
-      line("const " + cTypeOf(T) + " " + Val + " = " +
-           vectorGatherHelper(T, L->Index.type()) + "(" + Buf + ", " + Idx +
-           ");");
-    emitTraceAccess("TraceLoad", BufName->Value, T, Val, L->Index.type(),
-                    Idx);
-    return Val;
-  }
-
-  /// A trace_store intrinsic (replaces the Store node): value, then index,
-  /// then the store itself, then the event — the same order the
-  /// interpreter and the VM execute.
-  void emitTraceStore(const Call *Op) {
-    const StringImm *BufName = Op->Args.at(0).as<StringImm>();
-    internal_assert(BufName && Op->Args.size() == 3)
-        << "codegen: malformed trace_store";
-    const Expr &Value = Op->Args.at(1);
-    const Expr &Index = Op->Args.at(2);
-    Type T = Value.type();
-    std::string Val = freshName(BufName->Value + "_tval");
-    line("const " + cTypeOf(T) + " " + Val + " = " + emit(Value) + ";");
-    std::string Idx = freshName(BufName->Value + "_tidx");
-    line("const " + cTypeOf(Index.type()) + " " + Idx + " = " + emit(Index) +
-         ";");
-    std::string Buf = bufferName(BufName->Value);
-    if (T.isScalar())
-      line(Buf + "[" + Idx + "] = " + Val + ";");
-    else
-      line(vectorScatterHelper(T, Index.type()) + "(" + Buf + ", " + Idx +
-           ", " + Val + ");");
-    emitTraceAccess("TraceStore", BufName->Value, T, Val, Index.type(), Idx);
+    internal_assert(!Valued || Temps.size() == 2)
+        << "codegen: malformed valued runtime hook";
+    const size_t FirstCoord = Valued ? 1 : 0;
+    int NumCoords = 0;
+    for (size_t I = FirstCoord; I < Temps.size(); ++I)
+      NumCoords += Op->Args[I + 2].type().Lanes;
+    // Array[At + l] = Cast(lane l of Temp), as a loop for vectors.
+    auto pack = [&](const std::string &Array, int At, Type T,
+                    const std::string &Temp, auto Cast) {
+      if (T.isScalar()) {
+        line(Array + "[" + std::to_string(At) + "] = " + Cast(Temp) + ";");
+        return;
+      }
+      line("for (int32_t __l = 0; __l < " + std::to_string(T.Lanes) +
+           "; ++__l)");
+      line("  " + Array + "[" + (At ? std::to_string(At) + " + " : "") +
+           "__l] = " + Cast(laneRef(T, Temp, "__l")) + ";");
+    };
+    std::string Coords = "0", Bits = "0", TypeCode = "0";
+    if (NumCoords) {
+      Coords = freshName(Stage->Value + "_hc");
+      line("int32_t " + Coords + "[" + std::to_string(NumCoords) + "];");
+      int At = 0;
+      for (size_t I = FirstCoord; I < Temps.size(); ++I) {
+        Type T = Op->Args[I + 2].type();
+        pack(Coords, At, T, Temps[I],
+             [](const std::string &X) { return "(int32_t)" + X; });
+        At += T.Lanes;
+      }
+    }
+    if (Valued) {
+      Type T = Op->Args[2].type();
+      TypeCode = std::to_string(int(traceTypeCode(T)));
+      Bits = freshName(Stage->Value + "_hb");
+      line("uint64_t " + Bits + "[" + std::to_string(T.Lanes) + "];");
+      pack(Bits, 0, T, Temps[0], [&](const std::string &X) {
+        return traceBitsExpr(T.element(), X);
+      });
+    }
+    line("rt->Hook(" + std::to_string(Hook) + ", " +
+         std::to_string(profilerStageId(Stage->Value)) + ", " + TypeCode +
+         ", " + std::to_string(NumCoords) + ", " + Coords + ", " + Bits +
+         "); /* " + runtimeHookName(Hook) + " " + Stage->Value + " */");
+    return Valued ? Temps[0] : "0";
   }
 
   std::string emitCall(const Call *Op) {
     if (Op->CallKind == CallType::Intrinsic) {
-      if (Op->Name == Call::TracePoint)
-        return "0";
-      if (Op->Name == Call::TraceLoad)
-        return emitTraceLoad(Op);
-      internal_error << "codegen: unknown intrinsic " << Op->Name;
+      internal_assert(Op->Name == Call::RuntimeHook)
+          << "codegen: unknown intrinsic " << Op->Name;
+      return emitHook(Op);
     }
     internal_assert(Op->CallKind == CallType::PureExtern)
         << "codegen: unlowered call to " << Op->Name;
@@ -1178,50 +1148,11 @@ private:
       return;
     }
     case IRNodeKind::Evaluate: {
-      // Profile markers (present only under Target::Profile) become
-      // direct vtable calls with the process-wide stage id baked in at
-      // codegen time; everything else evaluates for side effects.
+      // Hooks emit their own statements; anything else evaluates for
+      // side effects.
       const Call *C = S.as<Evaluate>()->Value.as<Call>();
-      if (C && C->CallKind == CallType::Intrinsic &&
-          (C->Name == Call::ProfileStageStart ||
-           C->Name == Call::ProfileStageEnd)) {
-        const StringImm *Stage = C->Args.at(0).as<StringImm>();
-        internal_assert(Stage) << "codegen: profile marker without stage";
-        const char *Fn =
-            C->Name == Call::ProfileStageStart ? "ProfEnter" : "ProfExit";
-        line("rt->" + std::string(Fn) + "(" +
-             std::to_string(profilerStageId(Stage->Value)) + "); /* " +
-             Stage->Value + " */");
-        return;
-      }
-      if (C && C->CallKind == CallType::Intrinsic &&
-          C->Name == Call::TraceStore) {
-        emitTraceStore(C);
-        return;
-      }
-      if (C && C->CallKind == CallType::Intrinsic &&
-          C->Name == Call::TraceBegin) {
-        const StringImm *Buf = C->Args.at(0).as<StringImm>();
-        internal_assert(Buf) << "codegen: malformed trace_begin";
-        int Dims = int(C->Args.size()) - 1;
-        std::string Arr = freshName(Buf->Value + "_text");
-        line("int32_t " + Arr + "[" + std::to_string(Dims > 0 ? Dims : 1) +
-             "];");
-        for (int D = 0; D < Dims; ++D)
-          line(Arr + "[" + std::to_string(D) + "] = (int32_t)(" +
-               emit(C->Args.at(size_t(D) + 1)) + ");");
-        line("rt->TraceBegin(" +
-             std::to_string(profilerStageId(Buf->Value)) + ", " +
-             std::to_string(Dims) + ", " + Arr + "); /* " + Buf->Value +
-             " */");
-        return;
-      }
-      if (C && C->CallKind == CallType::Intrinsic &&
-          C->Name == Call::TraceEnd) {
-        const StringImm *Buf = C->Args.at(0).as<StringImm>();
-        internal_assert(Buf) << "codegen: malformed trace_end";
-        line("rt->TraceEnd(" + std::to_string(profilerStageId(Buf->Value)) +
-             "); /* " + Buf->Value + " */");
+      if (C && C->CallKind == CallType::Intrinsic) {
+        emitCall(C);
         return;
       }
       line("(void)(" + emit(S.as<Evaluate>()->Value) + ");");

@@ -19,7 +19,7 @@
 
 #include "lang/Target.h"
 #include "runtime/Runtime.h"
-#include "runtime/Tracing.h"
+#include "runtime/ExecutionStats.h"
 #include "transforms/Lower.h"
 
 #include <memory>

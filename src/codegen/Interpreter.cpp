@@ -401,63 +401,9 @@ private:
 
   Value evalCall(const Call *Op) {
     if (Op->CallKind == CallType::Intrinsic) {
-      if (Op->Name == Call::TracePoint)
-        return Value::intVal(Int(32), 0);
-      if (Op->Name == Call::ProfileStageStart ||
-          Op->Name == Call::ProfileStageEnd) {
-        // Reference path: re-intern the stage name per event (the VM and
-        // JIT pre-resolve ids at compile time; the interpreter favors
-        // simplicity over speed).
-        const StringImm *Stage = Op->Args.at(0).as<StringImm>();
-        internal_assert(Stage) << "profile marker without stage name";
-        int Id = profilerStageId(Stage->Value);
-        if (Op->Name == Call::ProfileStageStart)
-          profilerEnter(Id);
-        else
-          profilerExit(Id);
-        return Value::intVal(Int(32), 0);
-      }
-      if (Op->Name == Call::TraceLoad) {
-        // Args: {StringImm(buffer), Load}. The index is evaluated once and
-        // shared by the load and the event's coordinates.
-        const StringImm *Buf = Op->Args.at(0).as<StringImm>();
-        const Load *L = Op->Args.at(1).as<Load>();
-        internal_assert(Buf && L) << "malformed trace_load";
-        Value Index = eval(L->Index);
-        Value R = evalLoadWithIndex(L, Index);
-        emitAccessEvent(TraceEventKind::TraceLoad, Buf->Value, R, Index);
-        return R;
-      }
-      if (Op->Name == Call::TraceStore) {
-        // Args: {StringImm(buffer), Value, Index}. Same evaluation order
-        // as an untraced Store: value first, then index.
-        const StringImm *Buf = Op->Args.at(0).as<StringImm>();
-        internal_assert(Buf) << "malformed trace_store";
-        Value V = eval(Op->Args.at(1));
-        Value Index = eval(Op->Args.at(2));
-        doStore(Buf->Value, V, Index);
-        emitAccessEvent(TraceEventKind::TraceStore, Buf->Value, V, Index);
-        return Value::intVal(Int(32), 0);
-      }
-      if (Op->Name == Call::TraceBegin) {
-        const StringImm *Buf = Op->Args.at(0).as<StringImm>();
-        internal_assert(Buf) << "malformed trace_begin";
-        std::vector<int32_t> Extents;
-        for (size_t I = 1; I < Op->Args.size(); ++I)
-          Extents.push_back(int32_t(eval(Op->Args[I]).scalarInt()));
-        traceStreamEmit(profilerStageId(Buf->Value),
-                        TraceEventKind::TraceBegin, 0, 0, Extents.data(),
-                        int(Extents.size()), nullptr);
-        return Value::intVal(Int(32), 0);
-      }
-      if (Op->Name == Call::TraceEnd) {
-        const StringImm *Buf = Op->Args.at(0).as<StringImm>();
-        internal_assert(Buf) << "malformed trace_end";
-        traceStreamEmit(profilerStageId(Buf->Value),
-                        TraceEventKind::TraceEnd, 0, 0, nullptr, 0, nullptr);
-        return Value::intVal(Int(32), 0);
-      }
-      internal_error << "interpreter: unknown intrinsic " << Op->Name;
+      internal_assert(Op->Name == Call::RuntimeHook)
+          << "interpreter: unknown intrinsic " << Op->Name;
+      return evalHook(Op);
     }
     internal_assert(Op->CallKind == CallType::PureExtern)
         << "interpreter: unlowered call to " << Op->Name;
@@ -506,10 +452,6 @@ private:
 
   Value evalLoad(const Load *Op) {
     Value Index = eval(Op->Index);
-    return evalLoadWithIndex(Op, Index);
-  }
-
-  Value evalLoadWithIndex(const Load *Op, const Value &Index) {
     const BufferSlot &Slot = Buffers.get(Op->Name);
     Value R;
     R.T = Op->NodeType;
@@ -609,15 +551,16 @@ private:
         << " outside [0, " << Slot.SizeElems << ")";
   }
 
-  /// The store path shared by Store statements and trace_store intrinsics
-  /// (value and index already evaluated, in that order).
-  void doStore(const std::string &Name, const Value &V, const Value &Index) {
-    const BufferSlot &Slot = Buffers.get(Name);
+  void execStore(const Store *Op) {
+    // Value before index: the evaluation order every engine shares.
+    Value V = eval(Op->Value);
+    Value Index = eval(Op->Index);
+    const BufferSlot &Slot = Buffers.get(Op->Name);
     int N = V.T.Lanes;
-    Stats.StoresPerBuffer[Name] += N;
+    Stats.StoresPerBuffer[Op->Name] += N;
     for (int L = 0; L < N; ++L) {
       int64_t Idx = Index.I[size_t(L)];
-      checkBounds(Name, Slot, Idx);
+      checkBounds(Op->Name, Slot, Idx);
       storeElem(Slot, Idx, V, L);
       if (Slot.LastStoreOp) {
         (*Slot.LastStoreOp)[size_t(Idx)] = OpCounter;
@@ -626,22 +569,41 @@ private:
     }
   }
 
-  /// Emits one load/store trace event: one flat coordinate and one
-  /// normalized value word per lane (see TraceStream.h).
-  void emitAccessEvent(TraceEventKind Kind, const std::string &Buf,
-                       const Value &V, const Value &Index) {
-    if (!traceStreamActive())
-      return;
-    int N = V.T.Lanes;
-    std::vector<int32_t> Coords(size_t(N), 0);
-    std::vector<uint64_t> Bits(size_t(N), 0);
-    for (int L = 0; L < N; ++L) {
-      Coords[size_t(L)] = int32_t(Index.I[size_t(L)]);
-      Bits[size_t(L)] = V.isFloat() ? traceBitsOfDouble(V.F[size_t(L)])
-                                    : traceBitsOfInt(V.I[size_t(L)]);
+  /// A runtime hook: evaluates the payload left to right and hands it
+  /// to runtimeHook() (runtime/Runtime.h), re-interning the stage name
+  /// per event (the VM and JIT pre-resolve ids at compile time; the
+  /// interpreter favors simplicity over speed). A valued hook's payload
+  /// is {value, index}: one coordinate and one normalized value word per
+  /// lane (observe/TraceStream.h); any other payload is all coordinates.
+  Value evalHook(const Call *Op) {
+    const IntImm *Id = Op->Args.at(0).as<IntImm>();
+    const StringImm *Stage = Op->Args.at(1).as<StringImm>();
+    internal_assert(Id && Stage) << "malformed runtime hook";
+    const int32_t Hook = int32_t(Id->Value);
+    const bool Valued = runtimeHookValued(Hook);
+    std::vector<Value> Payload;
+    for (size_t I = 2; I < Op->Args.size(); ++I)
+      Payload.push_back(eval(Op->Args[I]));
+    internal_assert(!Valued || Payload.size() == 2)
+        << "malformed valued runtime hook";
+    if (runtimeHookActive(Hook)) {
+      std::vector<int32_t> Coords;
+      for (size_t I = Valued ? 1 : 0; I < Payload.size(); ++I)
+        for (int64_t C : Payload[I].I)
+          Coords.push_back(int32_t(C));
+      std::vector<uint64_t> Bits;
+      if (Valued) {
+        const Value &V = Payload[0];
+        for (int L = 0; L < V.lanes(); ++L)
+          Bits.push_back(V.isFloat() ? traceBitsOfDouble(V.F[size_t(L)])
+                                     : traceBitsOfInt(V.I[size_t(L)]));
+      }
+      runtimeHook(Hook, profilerStageId(Stage->Value),
+                  Valued ? traceTypeCode(Payload[0].T) : 0,
+                  int32_t(Coords.size()), Coords.data(),
+                  Valued ? Bits.data() : nullptr);
     }
-    traceStreamEmit(profilerStageId(Buf), Kind, traceTypeCode(V.T), N,
-                    Coords.data(), N, Bits.data());
+    return Valued ? Payload[0] : Value::intVal(Int(32), 0);
   }
 
   //===------------------------------------------------------------------===//
@@ -668,13 +630,9 @@ private:
     case IRNodeKind::For:
       execFor(S.as<For>());
       return;
-    case IRNodeKind::Store: {
-      const Store *Op = S.as<Store>();
-      Value V = eval(Op->Value);
-      Value Index = eval(Op->Index);
-      doStore(Op->Name, V, Index);
+    case IRNodeKind::Store:
+      execStore(S.as<Store>());
       return;
-    }
     case IRNodeKind::Allocate:
       execAllocate(S.as<Allocate>());
       return;

@@ -18,7 +18,7 @@
 #define HALIDE_CODEGEN_INTERPRETER_H
 
 #include "runtime/Runtime.h"
-#include "runtime/Tracing.h"
+#include "runtime/ExecutionStats.h"
 #include "transforms/Lower.h"
 
 namespace halide {

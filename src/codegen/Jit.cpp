@@ -71,7 +71,8 @@ int CompiledPipeline::run(const ParamBindings &Params,
 
 namespace {
 
-/// Owns one compile's /tmp/hl_jit_XXXXXX scratch directory. The
+/// Owns one compile's /tmp/hl_jit_<pid>_XXXXXX scratch directory (the
+/// pid lets a process find its own leftovers among other processes'). The
 /// destructor removes the known artifacts and the directory on every
 /// exit path — concurrent serving compiles many pipelines, so leaked
 /// scratch dirs would otherwise accumulate per frame shape. keep()
@@ -80,9 +81,11 @@ namespace {
 class JitTempDir {
 public:
   JitTempDir() {
-    char Buf[] = "/tmp/hl_jit_XXXXXX";
-    user_assert(mkdtemp(Buf)) << "could not create JIT temp directory";
-    Dir = Buf;
+    std::string Template =
+        "/tmp/hl_jit_" + std::to_string(getpid()) + "_XXXXXX";
+    user_assert(mkdtemp(Template.data()))
+        << "could not create JIT temp directory";
+    Dir = Template;
   }
   ~JitTempDir() {
     if (Kept)

@@ -378,28 +378,13 @@ struct Call final : ExprNode<Call> {
   static Expr make(Type T, const std::string &Name, std::vector<Expr> Args,
                    CallType CallKind);
 
-  /// Intrinsic names.
-  static const char *const TracePoint; ///< debug/trace hook (side effecting)
-  /// Profiler stage markers injected by transforms/InjectProfiling.h when
-  /// Target::Profile is set: one StringImm argument naming the stage.
-  /// Side effecting (profilerEnter/Exit); value is always int32 0.
-  static const char *const ProfileStageStart;
-  static const char *const ProfileStageEnd;
-  /// Value-tracing intrinsics injected by transforms/InjectTracing.h when
-  /// Target::Trace is set (observe/TraceStream.h receives the events).
-  /// TraceLoad wraps a Load in expression position — args are
-  /// {StringImm(buffer), Load} and the call evaluates to the load's value
-  /// (the index is evaluated exactly once, shared by the load and the
-  /// event's coordinates). TraceStore *replaces* a Store in statement
-  /// position — args are {StringImm(buffer), Value, Index}; the backend
-  /// evaluates value then index (the untraced Store's order), performs
-  /// the store, and emits the event. TraceBegin/TraceEnd bracket a
-  /// buffer's realization — Begin's args are {StringImm(buffer),
-  /// extent...}, End's just {StringImm(buffer)}; both are int32 0.
-  static const char *const TraceLoad;
-  static const char *const TraceStore;
-  static const char *const TraceBegin;
-  static const char *const TraceEnd;
+  /// The one instrumentation intrinsic, injected after lowering by
+  /// transforms/Instrument.h for Target::Profile / Target::Trace. Args
+  /// are {IntImm hook id (runtime/Runtime.h's HALIDE_RUNTIME_HOOKS),
+  /// StringImm stage, payload...}. Each engine evaluates the payload left
+  /// to right and hands it to runtimeHook(); a valued hook evaluates to
+  /// its value payload, any other hook to int32 0.
+  static const char *const RuntimeHook;
 };
 
 /// A scoped value binding within an expression.

@@ -186,8 +186,8 @@ public:
   //===--------------------------------------------------------------------===//
   // Value tracing (observe/TraceStream.h). The flags only take effect when
   // the pipeline is compiled with Target::withTrace(); they select which
-  // stages InjectTracing instruments. With no per-stage flags set anywhere
-  // in the pipeline, a traced target instruments every stage.
+  // stages transforms/Instrument.h instruments. With no per-stage flags
+  // set anywhere in the pipeline, a traced target instruments every stage.
   //===--------------------------------------------------------------------===//
 
   /// Emits one trace event per load from this stage's buffer.

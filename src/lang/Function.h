@@ -59,7 +59,7 @@ struct FunctionContents {
 
   /// Value-tracing requests (Func::traceLoads() etc.). Deliberately not part
   /// of Schedule so Schedule::str() — and with it the lowering fingerprint —
-  /// is unchanged by tracing; the flags are applied by InjectTracing on a
+  /// is unchanged by tracing; the flags are applied by instrument() on a
   /// copy of the cached lowered pipeline and fingerprinted into the
   /// executable cache key only (see lang/Pipeline.cpp).
   bool TraceLoads = false;

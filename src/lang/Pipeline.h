@@ -38,7 +38,7 @@
 #include "lang/Target.h"
 #include "runtime/Runtime.h"
 #include "runtime/TaskScheduler.h"
-#include "runtime/Tracing.h"
+#include "runtime/ExecutionStats.h"
 #include "transforms/Lower.h"
 
 #include <map>

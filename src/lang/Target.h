@@ -70,12 +70,12 @@ struct Target {
   /// Like NumThreads this does not affect lowering — it is folded into
   /// the executable cache key only, never into the lowering fingerprint,
   /// so profile-on and profile-off targets share one lowered pipeline
-  /// and an off-target run is bit-identical, marker-free code.
+  /// and an off-target run is bit-identical, hook-free code.
   bool Profile = false;
 
   /// Value-level tracing (src/observe/TraceStream.h): the executable is
   /// instrumented with per-value load/store/realization events at
-  /// backend-compile time (transforms/InjectTracing.h). Like Profile this
+  /// backend-compile time (transforms/Instrument.h). Like Profile this
   /// does not affect lowering — it is folded into the executable cache key
   /// only (together with the per-stage Func::traceLoads()-style flags), so
   /// trace-on and trace-off targets share one lowered pipeline and an

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Process-wide per-stage profiler behind Target::Profile. Instrumented
-/// executables (see transforms/InjectProfiling.h) call profilerEnter /
+/// executables (see transforms/Instrument.h) call profilerEnter /
 /// profilerExit around each stage's produce body; the profiler keeps a
 /// per-thread stage stack and charges elapsed wall time to the innermost
 /// active stage (self time) and to every enclosing stage (total time), so

@@ -288,11 +288,14 @@ bool readTraceFile(const std::string &Path, std::vector<TraceEvent> *Out,
         *Error = Path + ": truncated record body";
       return false;
     }
+    // Empty vectors may have a null data(), which memcpy must not get.
     E.Coords.resize(NumCoords);
-    memcpy(E.Coords.data(), &Data[Pos], 4 * (size_t)NumCoords);
+    if (NumCoords)
+      memcpy(E.Coords.data(), &Data[Pos], 4 * (size_t)NumCoords);
     Pos += 4 * (size_t)NumCoords;
     E.Bits.resize(Lanes);
-    memcpy(E.Bits.data(), &Data[Pos], 8 * (size_t)Lanes);
+    if (Lanes)
+      memcpy(E.Bits.data(), &Data[Pos], 8 * (size_t)Lanes);
     Pos += 8 * (size_t)Lanes;
     if (E.Kind == TraceEventKind::TraceName) {
       const char *Chars = (const char *)E.Coords.data();

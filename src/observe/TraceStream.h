@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The sink for value-level trace events (Func::traceLoads() and friends,
-/// lowered by transforms/InjectTracing.h into Call::TraceLoad/TraceStore/
-/// TraceBegin/TraceEnd intrinsics that all three engines execute).
+/// lowered by transforms/Instrument.h into trace.* runtime hooks that all
+/// three engines execute; see runtime/Runtime.h).
 ///
 /// Binary format ("HLTRACE1", host-endian):
 ///

@@ -1,6 +1,6 @@
-//===-- runtime/Tracing.cpp ------------------------------------------------------=//
+//===-- runtime/ExecutionStats.cpp -----------------------------------------------=//
 
-#include "runtime/Tracing.h"
+#include "runtime/ExecutionStats.h"
 
 #include <ostream>
 #include <sstream>

@@ -1,4 +1,4 @@
-//===-- runtime/Tracing.h - Execution counters ------------------*- C++ -*-===//
+//===-- runtime/ExecutionStats.h - Execution counters -----------*- C++ -*-===//
 //
 // Part of the halide-pldi13-repro project, under the MIT license.
 //
@@ -6,14 +6,14 @@
 ///
 /// \file
 /// Named execution counters used by tests and benchmarks to observe
-/// recomputation (work amplification) and allocation behaviour without
-/// affecting compiled-code performance; the reference interpreter updates
-/// them on every store and allocation.
+/// recomputation (work amplification) and allocation behaviour. The
+/// interpreter and the bytecode VM count every load, store and
+/// allocation; JIT-compiled code reports the GPU-simulator counters.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef HALIDE_RUNTIME_TRACING_H
-#define HALIDE_RUNTIME_TRACING_H
+#ifndef HALIDE_RUNTIME_EXECUTIONSTATS_H
+#define HALIDE_RUNTIME_EXECUTIONSTATS_H
 
 #include <cstdint>
 #include <iosfwd>
@@ -22,7 +22,7 @@
 
 namespace halide {
 
-/// Counters gathered while executing a pipeline in the interpreter.
+/// Counters gathered while executing a pipeline.
 struct ExecutionStats {
   /// Number of values stored per buffer (pure + update writes).
   std::map<std::string, int64_t> StoresPerBuffer;
@@ -81,4 +81,4 @@ std::ostream &operator<<(std::ostream &OS, const ExecutionStats &S);
 
 } // namespace halide
 
-#endif // HALIDE_RUNTIME_TRACING_H
+#endif // HALIDE_RUNTIME_EXECUTIONSTATS_H

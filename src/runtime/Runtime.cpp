@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 using namespace halide;
 
@@ -74,39 +75,76 @@ void vtableGpuLaunch(int32_t Blocks, void (*Body)(int32_t, void *),
   gpuSim().launch(Blocks, Body, Closure);
 }
 
-void vtableProfEnter(int32_t StageId) { profilerEnter(StageId); }
-
-void vtableProfExit(int32_t StageId) { profilerExit(StageId); }
-
-void vtableTraceLoad(int32_t StageId, int32_t TypeCode, int32_t Lanes,
-                     const int32_t *Coords, const uint64_t *Bits) {
-  traceStreamEmit(StageId, TraceEventKind::TraceLoad, uint8_t(TypeCode),
-                  Lanes, Coords, Lanes, Bits);
+void hookProfEnter(int32_t Stage, int32_t, int32_t, const int32_t *,
+                   const uint64_t *) {
+  profilerEnter(Stage);
 }
 
-void vtableTraceStore(int32_t StageId, int32_t TypeCode, int32_t Lanes,
-                      const int32_t *Coords, const uint64_t *Bits) {
-  traceStreamEmit(StageId, TraceEventKind::TraceStore, uint8_t(TypeCode),
-                  Lanes, Coords, Lanes, Bits);
+void hookProfExit(int32_t Stage, int32_t, int32_t, const int32_t *,
+                  const uint64_t *) {
+  profilerExit(Stage);
 }
 
-void vtableTraceBegin(int32_t StageId, int32_t Dims, const int32_t *Extents) {
-  traceStreamEmit(StageId, TraceEventKind::TraceBegin, 0, 0, Extents, Dims,
+void hookTraceLoad(int32_t Stage, int32_t TypeCode, int32_t N,
+                   const int32_t *Coords, const uint64_t *Bits) {
+  traceStreamEmit(Stage, TraceEventKind::TraceLoad, uint8_t(TypeCode), N,
+                  Coords, N, Bits);
+}
+
+void hookTraceStore(int32_t Stage, int32_t TypeCode, int32_t N,
+                    const int32_t *Coords, const uint64_t *Bits) {
+  traceStreamEmit(Stage, TraceEventKind::TraceStore, uint8_t(TypeCode), N,
+                  Coords, N, Bits);
+}
+
+void hookTraceBegin(int32_t Stage, int32_t, int32_t N, const int32_t *Coords,
+                    const uint64_t *) {
+  traceStreamEmit(Stage, TraceEventKind::TraceBegin, 0, 0, Coords, N,
                   nullptr);
 }
 
-void vtableTraceEnd(int32_t StageId) {
-  traceStreamEmit(StageId, TraceEventKind::TraceEnd, 0, 0, nullptr, 0,
-                  nullptr);
+void hookTraceEnd(int32_t Stage, int32_t, int32_t, const int32_t *,
+                  const uint64_t *) {
+  traceStreamEmit(Stage, TraceEventKind::TraceEnd, 0, 0, nullptr, 0, nullptr);
+}
+
+struct HookRow {
+  const char *Name;
+  bool Valued;
+  bool (*Gate)();
+  void (*Fn)(int32_t, int32_t, int32_t, const int32_t *, const uint64_t *);
+};
+
+#define HALIDE_HOOK_ROW(Enum, Name, Valued, Gate, Fn) {Name, Valued, Gate, Fn},
+constexpr HookRow HookRows[] = {HALIDE_RUNTIME_HOOKS(HALIDE_HOOK_ROW)};
+#undef HALIDE_HOOK_ROW
+
+const HookRow &hookRow(int32_t Hook) {
+  internal_assert(Hook >= 0 && size_t(Hook) < std::size(HookRows))
+      << "unknown runtime hook " << Hook;
+  return HookRows[Hook];
 }
 
 } // namespace
 
+const char *halide::runtimeHookName(int32_t Hook) {
+  return hookRow(Hook).Name;
+}
+
+bool halide::runtimeHookValued(int32_t Hook) { return hookRow(Hook).Valued; }
+
+bool halide::runtimeHookActive(int32_t Hook) { return hookRow(Hook).Gate(); }
+
+void halide::runtimeHook(int32_t Hook, int32_t Stage, int32_t TypeCode,
+                         int32_t N, const int32_t *Coords,
+                         const uint64_t *Bits) {
+  hookRow(Hook).Fn(Stage, TypeCode, N, Coords, Bits);
+}
+
 const RuntimeVTable *halide::runtimeVTable() {
   static const RuntimeVTable Table = {
-      halideMalloc,    halideFree,      vtableParFor,    vtableGpuLaunch,
-      vtableAbort,     vtableProfEnter, vtableProfExit,  vtableTraceLoad,
-      vtableTraceStore, vtableTraceBegin, vtableTraceEnd,
+      halideMalloc,    halideFree,  vtableParFor,
+      vtableGpuLaunch, vtableAbort, runtimeHook,
   };
   return &Table;
 }

@@ -7,8 +7,9 @@
 /// \file
 /// The runtime contract between compiled pipelines and the host: parameter
 /// bindings (buffers and scalars), the function-pointer table passed to
-/// JIT-compiled code (so generated code needs no link-time symbols), and
-/// small allocation helpers.
+/// JIT-compiled code (so generated code needs no link-time symbols), the
+/// runtime-hook table every engine's profiling and tracing goes through,
+/// and small allocation helpers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,42 +69,70 @@ private:
   std::map<std::string, double> FloatScalars;
 };
 
-/// The vtable handed to JIT-compiled pipelines. Passing function pointers
-/// explicitly (rather than relying on dynamic symbol resolution) keeps the
-/// generated shared object fully self-contained.
+/// The runtime hooks instrumented executables call: one row per hook,
+/// X(Enum, Name, Valued, Gate, Fn). Name is what VM disassembly and the
+/// generated C's comments show. A Valued hook's payload is {value,
+/// index} (a traced access); any other hook's payload is its
+/// coordinates (realization extents) or nothing. Gate is the cheap
+/// "would this hook record anything" check the engines make before
+/// packing a payload; Fn is the runtime function the dispatcher calls.
+/// Adding a hook takes one row here plus its Fn in Runtime.cpp.
+#define HALIDE_RUNTIME_HOOKS(X)                                              \
+  X(ProfEnter, "prof_enter", false, profilerEnabled, hookProfEnter)          \
+  X(ProfExit, "prof_exit", false, profilerEnabled, hookProfExit)             \
+  X(TraceLoad, "trace.load", true, traceStreamActive, hookTraceLoad)         \
+  X(TraceStore, "trace.store", true, traceStreamActive, hookTraceStore)      \
+  X(TraceBegin, "trace.begin", false, traceStreamActive, hookTraceBegin)     \
+  X(TraceEnd, "trace.end", false, traceStreamActive, hookTraceEnd)
+
+/// Hook ids, the first argument of a Call::RuntimeHook intrinsic.
+enum class HookId : int32_t {
+#define HALIDE_HOOK_ENUM(Enum, ...) Enum,
+  HALIDE_RUNTIME_HOOKS(HALIDE_HOOK_ENUM)
+#undef HALIDE_HOOK_ENUM
+};
+
+const char *runtimeHookName(int32_t Hook);
+/// Whether the hook's payload starts with a value (see the table).
+bool runtimeHookValued(int32_t Hook);
+/// The hook's Gate: false means a call would record nothing.
+bool runtimeHookActive(int32_t Hook);
+/// The one hook dispatcher: the vtable's Hook slot, also called directly
+/// by the interpreter and the VM. \p Stage is a profilerStageId, \p N
+/// the number of \p Coords (and, for valued hooks, of value words in
+/// \p Bits, normalized as observe/TraceStream.h describes).
+void runtimeHook(int32_t Hook, int32_t Stage, int32_t TypeCode, int32_t N,
+                 const int32_t *Coords, const uint64_t *Bits);
+
+/// The vtable handed to JIT-compiled pipelines, one X(Ret, Name, Params)
+/// row per slot. Passing function pointers explicitly (rather than
+/// relying on dynamic symbol resolution) keeps the generated shared
+/// object fully self-contained; CodeGenC expands the same rows into the
+/// generated code's hl_vtable typedef, so the two layouts cannot drift.
+///  - Malloc/Free: heap allocation for internal buffers (64-byte aligned).
+///  - ParFor: closure-based parallel for, Body(I, Closure) for I in
+///    [Min, Min+Extent) on the work-stealing task scheduler (paper §4.6).
+///  - GpuLaunch: simulated-GPU kernel launch over a flattened block range,
+///    ParFor semantics routed through the GPU simulator for accounting.
+///  - Abort: aborts execution with a message (failed AssertStmt).
+///  - Hook: runtimeHook, called only by instrumented executables.
+#define HALIDE_RUNTIME_VTABLE(X)                                             \
+  X(void *, Malloc, (int64_t Bytes))                                         \
+  X(void, Free, (void *Ptr))                                                 \
+  X(void, ParFor,                                                            \
+    (int32_t Min, int32_t Extent, void (*Body)(int32_t, void *),             \
+     void *Closure))                                                         \
+  X(void, GpuLaunch,                                                         \
+    (int32_t Blocks, void (*Body)(int32_t, void *), void *Closure))          \
+  X(void, Abort, (const char *Message))                                      \
+  X(void, Hook,                                                              \
+    (int32_t HookId, int32_t Stage, int32_t TypeCode, int32_t N,             \
+     const int32_t *Coords, const uint64_t *Bits))
+
 struct RuntimeVTable {
-  /// Heap allocation for internal buffers (16-byte aligned).
-  void *(*Malloc)(int64_t Bytes);
-  void (*Free)(void *Ptr);
-  /// Closure-based parallel for: runs Body(I, Closure) for I in
-  /// [Min, Min+Extent) on the work-stealing task scheduler (paper §4.6).
-  void (*ParFor)(int32_t Min, int32_t Extent,
-                 void (*Body)(int32_t, void *), void *Closure);
-  /// Simulated-GPU kernel launch over a flattened block range; semantics
-  /// match ParFor but route through the GPU simulator for accounting.
-  void (*GpuLaunch)(int32_t Blocks, void (*Body)(int32_t, void *),
-                    void *Closure);
-  /// Aborts execution with a message (failed AssertStmt).
-  void (*Abort)(const char *Message);
-  /// Profiler stage markers (observe/Profiler.h), emitted by CodeGenC
-  /// only for Target::Profile executables; the argument is the
-  /// process-wide stage id baked in at codegen time. Appended at the end
-  /// of the struct so the generated hl_vtable typedef (CodeGenC.cpp)
-  /// stays layout-compatible — keep both in lockstep.
-  void (*ProfEnter)(int32_t StageId);
-  void (*ProfExit)(int32_t StageId);
-  /// Value-trace events (observe/TraceStream.h), emitted by CodeGenC only
-  /// for Target::Trace executables. StageId and TypeCode are baked in at
-  /// codegen time; Coords holds one flat index per lane (loads/stores) or
-  /// the realization extents (begin), Bits the normalized value bits per
-  /// lane. Appended at the end — keep the generated hl_vtable typedef in
-  /// lockstep.
-  void (*TraceLoad)(int32_t StageId, int32_t TypeCode, int32_t Lanes,
-                    const int32_t *Coords, const uint64_t *Bits);
-  void (*TraceStore)(int32_t StageId, int32_t TypeCode, int32_t Lanes,
-                     const int32_t *Coords, const uint64_t *Bits);
-  void (*TraceBegin)(int32_t StageId, int32_t Dims, const int32_t *Extents);
-  void (*TraceEnd)(int32_t StageId);
+#define HALIDE_VTABLE_FIELD(Ret, Name, Params) Ret(*Name) Params;
+  HALIDE_RUNTIME_VTABLE(HALIDE_VTABLE_FIELD)
+#undef HALIDE_VTABLE_FIELD
 };
 
 /// The global vtable instance (also used by the interpreter for parity).

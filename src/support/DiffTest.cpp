@@ -92,7 +92,7 @@ int diffTraceParity(const DiffOptions &Opts) {
 
 /// Renders the stats fields the determinism contract covers, for
 /// mismatch diagnostics (the contract and rendering live with
-/// ExecutionStats itself; see runtime/Tracing.h).
+/// ExecutionStats itself; see runtime/ExecutionStats.h).
 std::string statsSummary(const ExecutionStats &S) {
   std::ostringstream OS;
   OS << S;

@@ -2,6 +2,9 @@
 
 #include "vm/Bytecode.h"
 
+#include "observe/Profiler.h"
+#include "runtime/Runtime.h"
+
 #include <sstream>
 
 using namespace halide;
@@ -62,12 +65,7 @@ const char *halide::vmOpName(VmOp Op) {
   case VmOp::AssertCond: return "assert";
   case VmOp::CallExtern: return "call";
   case VmOp::CountParallel: return "count_parallel";
-  case VmOp::ProfEnter: return "prof_enter";
-  case VmOp::ProfExit: return "prof_exit";
-  case VmOp::TraceLoad: return "trace.load";
-  case VmOp::TraceStore: return "trace.store";
-  case VmOp::TraceBegin: return "trace.begin";
-  case VmOp::TraceEnd: return "trace.end";
+  case VmOp::Hook: return "hook";
   case VmOp::Halt: return "halt";
   }
   return "unknown";
@@ -148,21 +146,16 @@ std::string VmProgram::disassemble() const {
     case VmOp::CountParallel:
       OS << " r" << In.A;
       break;
-    case VmOp::ProfEnter:
-    case VmOp::ProfExit:
-      OS << " \"" << StageNames[size_t(In.Aux)] << "\"";
+    case VmOp::Hook: {
+      const VmHookSite &H = Hooks[size_t(In.Aux)];
+      OS << " " << runtimeHookName(H.Hook) << " \""
+         << profilerStageName(H.StageId) << "\"";
+      if (In.Lanes)
+        OS << ", r" << In.A;
+      if (H.NumCoords)
+        OS << ", coords=r" << In.B << "+" << H.NumCoords;
       break;
-    case VmOp::TraceLoad:
-    case VmOp::TraceStore:
-      OS << " \"" << Buffers[size_t(In.Aux)].Name << "\"[r" << In.A
-         << (In.SignedWrap ? " ..]" : "]") << ", r" << In.B;
-      break;
-    case VmOp::TraceBegin:
-      OS << " \"" << Buffers[size_t(In.Aux)].Name << "\" extents=r" << In.A;
-      break;
-    case VmOp::TraceEnd:
-      OS << " \"" << Buffers[size_t(In.Aux)].Name << "\"";
-      break;
+    }
     case VmOp::ParFor: {
       const VmTaskDesc &T = Tasks[size_t(In.Dst)];
       OS << " task" << In.Dst << " min=r" << In.A << " extent=r" << In.B

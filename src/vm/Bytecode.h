@@ -111,26 +111,10 @@ enum class VmOp : uint8_t {
   /// Stats.ParallelIterations += a[0] (entering a parallel/GPU loop).
   CountParallel,
 
-  // Profiler stage markers (present only in Target::Profile programs;
-  // see transforms/InjectProfiling.h). Aux indexes VmProgram::StageNames;
-  // the executable pre-resolves each name to a process-wide stage id so
-  // dispatch is a table lookup plus profilerEnter/profilerExit.
-  ProfEnter, ///< enter stage StageNames[Aux]
-  ProfExit,  ///< exit stage StageNames[Aux]
-
-  // Value-trace events (present only in Target::Trace programs; see
-  // transforms/InjectTracing.h and observe/TraceStream.h). Aux is the
-  // buffer-table index — the buffer name *is* the trace stage, and the
-  // executable pre-resolves each traced buffer's process-wide stage id.
-  // TraceLoad/TraceStore follow the matching memory op: A is its index
-  // register (the scalar base register when SignedWrap is 1, i.e. the
-  // dense form), B is the value register, Lanes the lane count.
-  TraceLoad,  ///< event: loaded b[0..Lanes) from buffer Aux at A's indices
-  TraceStore, ///< event: stored b[0..Lanes) to buffer Aux at A's indices
-  /// Realization begin event: Lanes extents in consecutive scalar
-  /// registers starting at A.
-  TraceBegin,
-  TraceEnd, ///< realization end event for buffer Aux
+  /// Runtime hook Hooks[Aux] (present only in instrumented programs;
+  /// see transforms/Instrument.h): value lanes at A (Lanes of them, 0 for
+  /// an unvalued hook), the site's NumCoords coordinates at B.
+  Hook,
 
   Halt, ///< end of program
 };
@@ -203,6 +187,16 @@ struct VmParamInit {
   bool SignedWrap = true;
 };
 
+/// One runtime-hook site, resolved once at compile time so dispatch
+/// never touches a name registry.
+struct VmHookSite {
+  int32_t Hook = 0;     ///< HookId (runtime/Runtime.h)
+  int32_t StageId = 0;  ///< profilerStageId of the stage or buffer
+  uint8_t TypeCode = 0; ///< traceTypeCode of the value; 0 if unvalued
+  bool ValueIsFloat = false;
+  uint16_t NumCoords = 0;
+};
+
 /// A compiled program: the instruction stream plus every pre-resolved
 /// table the dispatch loop needs.
 struct VmProgram {
@@ -216,9 +210,9 @@ struct VmProgram {
   std::vector<std::string> Messages;
   /// Parallel task entry points (ParFor's Dst indexes this).
   std::vector<VmTaskDesc> Tasks;
-  /// Stage-name pool for ProfEnter/ProfExit (Aux indexes this). Empty in
+  /// Runtime-hook sites (Hook's Aux indexes this). Empty in
   /// uninstrumented programs.
-  std::vector<std::string> StageNames;
+  std::vector<VmHookSite> Hooks;
 
   /// Human-readable listing of the whole program (tests, debugging).
   std::string disassemble() const;

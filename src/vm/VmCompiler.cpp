@@ -5,6 +5,9 @@
 #include "analysis/Scope.h"
 #include "ir/Expr.h"
 #include "ir/IROperators.h"
+#include "observe/Profiler.h"
+#include "observe/TraceStream.h"
+#include "runtime/Runtime.h"
 
 #include <algorithm>
 #include <map>
@@ -51,16 +54,6 @@ private:
   size_t emit(VmInstr In) {
     Prog.Code.push_back(In);
     return Prog.Code.size() - 1;
-  }
-
-  /// Index of \p Name in the program's stage-name pool (appending it on
-  /// first use). Marker pairs for one stage share an entry.
-  int32_t internStageName(const std::string &Name) {
-    for (size_t I = 0; I < Prog.StageNames.size(); ++I)
-      if (Prog.StageNames[I] == Name)
-        return int32_t(I);
-    Prog.StageNames.push_back(Name);
-    return int32_t(Prog.StageNames.size() - 1);
   }
 
   /// A register pre-loaded with a scalar integer constant (deduplicated).
@@ -279,18 +272,6 @@ private:
     return Dst;
   }
 
-  /// A TraceLoad/TraceStore event instruction: A is the index (or, when
-  /// \p Dense, scalar base) register of the memory op it follows, B the
-  /// value register. SignedWrap carries the dense flag; Bits/Lanes the
-  /// value shape.
-  VmInstr traceAccess(VmOp Op, Type T, uint32_t IdxReg, uint32_t ValReg,
-                      bool Dense, int32_t Buf) {
-    VmInstr Tr = elemwise(Op, T, 0, IdxReg, ValReg);
-    Tr.SignedWrap = Dense ? 1 : 0;
-    Tr.Aux = Buf;
-    return Tr;
-  }
-
   /// Unit-stride ramp index: the dense vector access shape. Such loads
   /// and stores compile only the scalar base and move the whole lane
   /// group per dispatch (LoadDense/StoreDense).
@@ -321,39 +302,60 @@ private:
     return Dst;
   }
 
+  /// A runtime hook: the payload compiles left to right; the Hook op
+  /// reads the value lanes (a valued hook's payload[0], which is also the
+  /// expression's result) and the coordinates, packed into one contiguous
+  /// register range. Stage id and type code are resolved here, once.
+  uint32_t compileHook(const Call *Op) {
+    const IntImm *Id = Op->Args.at(0).as<IntImm>();
+    const StringImm *Stage = Op->Args.at(1).as<StringImm>();
+    internal_assert(Id && Stage) << "vm: malformed runtime hook";
+    VmHookSite Site;
+    Site.Hook = int32_t(Id->Value);
+    Site.StageId = profilerStageId(Stage->Value);
+    const bool Valued = runtimeHookValued(Site.Hook);
+    std::vector<std::pair<uint32_t, int>> Payload; // (register, lanes)
+    for (size_t I = 2; I < Op->Args.size(); ++I)
+      Payload.push_back({compileExpr(Op->Args[I]), Op->Args[I].type().Lanes});
+    internal_assert(!Valued || Payload.size() == 2)
+        << "vm: malformed valued runtime hook";
+    VmInstr In;
+    In.Op = VmOp::Hook;
+    In.Aux = int32_t(Prog.Hooks.size());
+    In.Lanes = 0;
+    size_t FirstCoord = 0;
+    if (Valued) {
+      Type T = Op->Args[2].type();
+      Site.TypeCode = traceTypeCode(T);
+      Site.ValueIsFloat = T.isFloat();
+      In.A = Payload[0].first;
+      In.Lanes = uint16_t(T.Lanes);
+      FirstCoord = 1;
+    }
+    for (size_t I = FirstCoord; I < Payload.size(); ++I)
+      Site.NumCoords += uint16_t(Payload[I].second);
+    if (Payload.size() == FirstCoord + 1) {
+      In.B = Payload[FirstCoord].first;
+    } else if (Site.NumCoords) {
+      // Several coordinate payloads: copy them into one range.
+      In.B = allocReg(Site.NumCoords);
+      uint32_t Dst = In.B;
+      for (size_t I = FirstCoord; I < Payload.size(); ++I) {
+        emit(elemwise(VmOp::Mov, Int(32, Payload[I].second), Dst,
+                      Payload[I].first));
+        Dst += uint32_t(Payload[I].second);
+      }
+    }
+    Prog.Hooks.push_back(std::move(Site));
+    emit(In);
+    return Valued ? In.A : constInt(0);
+  }
+
   uint32_t compileCall(const Call *Op) {
     if (Op->CallKind == CallType::Intrinsic) {
-      // The trace hook is a no-op in the VM, exactly as in the
-      // interpreter: it folds to the constant 0 without evaluating its
-      // arguments.
-      if (Op->Name == Call::TracePoint)
-        return constInt(0);
-      if (Op->Name == Call::TraceLoad) {
-        // {StringImm(buffer), Load}: the load compiles exactly as an
-        // untraced load (dense form included), followed by a trace op
-        // reading the same index and destination registers.
-        const StringImm *BufName = Op->Args.at(0).as<StringImm>();
-        const Load *L = Op->Args.at(1).as<Load>();
-        internal_assert(BufName && L) << "vm: malformed trace_load";
-        int32_t Buf = BufScope.get(L->Name);
-        Type T = L->NodeType;
-        bool Dense = false;
-        uint32_t IdxReg;
-        if (const Ramp *R = asDenseRamp(L->Index)) {
-          IdxReg = compileExpr(R->Base);
-          Dense = true;
-        } else {
-          IdxReg = compileExpr(L->Index);
-        }
-        uint32_t Dst = allocReg(T.Lanes);
-        VmInstr In = elemwise(Dense ? VmOp::LoadDense : VmOp::Load, T, Dst,
-                              IdxReg);
-        In.Aux = Buf;
-        emit(In);
-        emit(traceAccess(VmOp::TraceLoad, T, IdxReg, Dst, Dense, Buf));
-        return Dst;
-      }
-      internal_error << "vm: unknown intrinsic " << Op->Name;
+      internal_assert(Op->Name == Call::RuntimeHook)
+          << "vm: unknown intrinsic " << Op->Name;
+      return compileHook(Op);
     }
     internal_assert(Op->CallKind == CallType::PureExtern)
         << "vm: unlowered call to " << Op->Name;
@@ -468,88 +470,9 @@ private:
       }
       return;
     }
-    case IRNodeKind::Evaluate: {
-      const Evaluate *Op = S.as<Evaluate>();
-      // Pure expressions evaluated for side effects only reduce to the
-      // trace hook, which the VM drops entirely, and the profile markers,
-      // which compile to dedicated ops with the stage name interned in
-      // the program's StageNames pool (the executable resolves names to
-      // process-wide ids once, at load).
-      const Call *C = Op->Value.as<Call>();
-      if (C && C->CallKind == CallType::Intrinsic) {
-        if (C->Name == Call::TracePoint)
-          return;
-        if (C->Name == Call::ProfileStageStart ||
-            C->Name == Call::ProfileStageEnd) {
-          const StringImm *Stage = C->Args.at(0).as<StringImm>();
-          internal_assert(Stage) << "vm: profile marker without stage name";
-          VmInstr In;
-          In.Op = C->Name == Call::ProfileStageStart ? VmOp::ProfEnter
-                                                     : VmOp::ProfExit;
-          In.Aux = internStageName(Stage->Value);
-          emit(In);
-          return;
-        }
-        if (C->Name == Call::TraceStore) {
-          // {StringImm(buffer), Value, Index}: the store compiles exactly
-          // as an untraced Store (value before index, dense form
-          // included), followed by a trace op reading the same registers.
-          const StringImm *BufName = C->Args.at(0).as<StringImm>();
-          internal_assert(BufName) << "vm: malformed trace_store";
-          int32_t Buf = BufScope.get(BufName->Value);
-          const Expr &Value = C->Args.at(1);
-          const Expr &Index = C->Args.at(2);
-          uint32_t Val = compileExpr(Value);
-          bool Dense = false;
-          uint32_t IdxReg;
-          if (const Ramp *R = asDenseRamp(Index)) {
-            IdxReg = compileExpr(R->Base);
-            Dense = true;
-          } else {
-            IdxReg = compileExpr(Index);
-          }
-          VmInstr In = elemwise(Dense ? VmOp::StoreDense : VmOp::Store,
-                                Value.type(), 0, Val, IdxReg);
-          In.Aux = Buf;
-          emit(In);
-          emit(traceAccess(VmOp::TraceStore, Value.type(), IdxReg, Val,
-                           Dense, Buf));
-          return;
-        }
-        if (C->Name == Call::TraceBegin) {
-          // Extents move into a contiguous scalar register block so the
-          // event op can read them as one range.
-          const StringImm *BufName = C->Args.at(0).as<StringImm>();
-          internal_assert(BufName) << "vm: malformed trace_begin";
-          int32_t Buf = BufScope.get(BufName->Value);
-          int Dims = int(C->Args.size()) - 1;
-          uint32_t Base = allocReg(Dims > 0 ? Dims : 1);
-          for (int I = 0; I < Dims; ++I) {
-            uint32_t E = compileExpr(C->Args[size_t(I) + 1]);
-            emit(elemwise(VmOp::Mov, Int(32), Base + uint32_t(I), E));
-          }
-          VmInstr In;
-          In.Op = VmOp::TraceBegin;
-          In.A = Base;
-          In.Lanes = uint16_t(Dims);
-          In.Aux = Buf;
-          emit(In);
-          return;
-        }
-        if (C->Name == Call::TraceEnd) {
-          const StringImm *BufName = C->Args.at(0).as<StringImm>();
-          internal_assert(BufName) << "vm: malformed trace_end";
-          VmInstr In;
-          In.Op = VmOp::TraceEnd;
-          In.Lanes = 0;
-          In.Aux = BufScope.get(BufName->Value);
-          emit(In);
-          return;
-        }
-      }
-      compileExpr(Op->Value);
+    case IRNodeKind::Evaluate:
+      compileExpr(S.as<Evaluate>()->Value);
       return;
-    }
     case IRNodeKind::Provide:
     case IRNodeKind::Realize:
       internal_error << "vm: unflattened "
@@ -713,25 +636,17 @@ private:
       if (VmExtern(In.Aux) == VmExtern::Pow)
         Out->push_back({In.B, L});
       break;
-    case VmOp::TraceLoad:
-    case VmOp::TraceStore:
-      // A is the index register (a single scalar base in the dense form,
-      // flagged in SignedWrap), B the value lanes. Missing these would
-      // leave a traced access's registers out of a parallel task's
-      // closure.
-      Out->push_back({In.A, In.SignedWrap ? 1 : L});
-      Out->push_back({In.B, L});
-      break;
-    case VmOp::TraceBegin:
+    case VmOp::Hook: {
+      const VmHookSite &H = Prog.Hooks[size_t(In.Aux)];
       if (L)
         Out->push_back({In.A, L});
+      if (H.NumCoords)
+        Out->push_back({In.B, H.NumCoords});
       break;
+    }
     case VmOp::Jump:
     case VmOp::FreeOp:
     case VmOp::TaskRet:
-    case VmOp::ProfEnter:
-    case VmOp::ProfExit:
-    case VmOp::TraceEnd:
     case VmOp::Halt:
       break;
     default:

@@ -2,7 +2,6 @@
 
 #include "vm/VmExecutable.h"
 
-#include "observe/Profiler.h"
 #include "observe/TraceStream.h"
 #include "runtime/TaskScheduler.h"
 #include "vm/VmCompiler.h"
@@ -148,12 +147,8 @@ void releaseContext(std::unique_ptr<VmContext> C) {
 class Runner {
 public:
   Runner(const VmProgram &Prog, const std::vector<uint8_t> &Kinds,
-         const std::vector<int> &StageIds,
-         const std::vector<int> &TraceStageIds,
-         const std::vector<uint8_t> &TraceTypeCodes, int Threads)
-      : Prog(Prog), Kinds(Kinds), StageIds(StageIds),
-        TraceStageIds(TraceStageIds), TraceTypeCodes(TraceTypeCodes),
-        Threads(Threads) {}
+         int Threads)
+      : Prog(Prog), Kinds(Kinds), Threads(Threads) {}
 
   /// Executes from \p StartPC until Halt or TaskRet.
   void exec(VmContext &C, size_t PC) const;
@@ -169,9 +164,6 @@ private:
 
   const VmProgram &Prog;
   const std::vector<uint8_t> &Kinds; ///< ElemKind per buffer slot
-  const std::vector<int> &StageIds;  ///< profiler id per StageNames entry
-  const std::vector<int> &TraceStageIds;      ///< trace stage id per buffer
-  const std::vector<uint8_t> &TraceTypeCodes; ///< trace type code per buffer
   const int Threads; ///< effective thread request (>= 1)
 };
 
@@ -179,10 +171,10 @@ void Runner::exec(VmContext &C, size_t PC) const {
   VmSlot *R = C.Regs.data();
   const VmInstr *Code = Prog.Code.data();
 
-  // Scratch for trace-event records; only the trace cases touch these,
-  // and default-constructed vectors cost nothing here.
-  std::vector<int32_t> TraceCoords;
-  std::vector<uint64_t> TraceBits;
+  // Scratch for hook payloads; only the Hook case touches these, and
+  // default-constructed vectors cost nothing here.
+  std::vector<int32_t> HookCoords;
+  std::vector<uint64_t> HookBits;
 
   auto checkBounds = [&](const RtBuf &B, size_t BI, int64_t Idx) {
     internal_assert(Idx >= 0 && (B.SizeElems == 0 || Idx < B.SizeElems))
@@ -531,52 +523,22 @@ void Runner::exec(VmContext &C, size_t PC) const {
       C.Shard.ParallelIters += R[In.A].I;
       break;
 
-    case VmOp::ProfEnter:
-      profilerEnter(StageIds[size_t(In.Aux)]);
-      break;
-    case VmOp::ProfExit:
-      profilerExit(StageIds[size_t(In.Aux)]);
-      break;
-
-    case VmOp::TraceLoad:
-    case VmOp::TraceStore: {
-      if (!traceStreamActive())
-        break; // one relaxed atomic load when no stream is open
-      const size_t BI = size_t(In.Aux);
-      const bool Dense = In.SignedWrap != 0;
-      const int64_t Base0 = R[In.A].I;
-      const ElemKind K = ElemKind(Kinds[BI]);
-      const bool IsFloat = K == ElemKind::F32 || K == ElemKind::F64;
-      TraceCoords.resize(size_t(L));
-      TraceBits.resize(size_t(L));
-      for (int I = 0; I < L; ++I) {
-        TraceCoords[size_t(I)] = int32_t(Dense ? Base0 + I : R[In.A + I].I);
-        TraceBits[size_t(I)] = IsFloat ? traceBitsOfDouble(R[In.B + I].F)
-                                       : traceBitsOfInt(R[In.B + I].I);
-      }
-      traceStreamEmit(TraceStageIds[BI],
-                      In.Op == VmOp::TraceLoad ? TraceEventKind::TraceLoad
-                                               : TraceEventKind::TraceStore,
-                      TraceTypeCodes[BI], L, TraceCoords.data(), L,
-                      TraceBits.data());
-      break;
-    }
-    case VmOp::TraceBegin: {
-      if (!traceStreamActive())
-        break;
-      TraceCoords.resize(size_t(L));
+    case VmOp::Hook: {
+      const VmHookSite &H = Prog.Hooks[size_t(In.Aux)];
+      if (!runtimeHookActive(H.Hook))
+        break; // one relaxed atomic load while nothing would record
+      HookCoords.resize(H.NumCoords);
+      for (size_t I = 0; I < H.NumCoords; ++I)
+        HookCoords[I] = int32_t(R[In.B + I].I);
+      HookBits.resize(size_t(L));
       for (int I = 0; I < L; ++I)
-        TraceCoords[size_t(I)] = int32_t(R[In.A + I].I);
-      traceStreamEmit(TraceStageIds[size_t(In.Aux)],
-                      TraceEventKind::TraceBegin, 0, 0, TraceCoords.data(), L,
-                      nullptr);
+        HookBits[size_t(I)] = H.ValueIsFloat
+                                  ? traceBitsOfDouble(R[In.A + I].F)
+                                  : traceBitsOfInt(R[In.A + I].I);
+      runtimeHook(H.Hook, H.StageId, H.TypeCode, H.NumCoords,
+                  HookCoords.data(), L ? HookBits.data() : nullptr);
       break;
     }
-    case VmOp::TraceEnd:
-      if (traceStreamActive())
-        traceStreamEmit(TraceStageIds[size_t(In.Aux)],
-                        TraceEventKind::TraceEnd, 0, 0, nullptr, 0, nullptr);
-      break;
 
     case VmOp::Halt:
       return;
@@ -657,19 +619,6 @@ VmExecutable::VmExecutable(LoweredPipeline LP, Target T)
   BufKinds.reserve(Prog.Buffers.size());
   for (const VmBufferDesc &Desc : Prog.Buffers)
     BufKinds.push_back(uint8_t(elemKindOf(Desc.ElemType)));
-  StageIds.reserve(Prog.StageNames.size());
-  for (const std::string &Name : Prog.StageNames)
-    StageIds.push_back(profilerStageId(Name));
-  for (const VmInstr &In : Prog.Code) {
-    if (In.Op != VmOp::TraceLoad && In.Op != VmOp::TraceStore &&
-        In.Op != VmOp::TraceBegin && In.Op != VmOp::TraceEnd)
-      continue;
-    for (const VmBufferDesc &Desc : Prog.Buffers) {
-      TraceStageIds.push_back(profilerStageId(Desc.Name));
-      TraceTypeCodes.push_back(traceTypeCode(Desc.ElemType));
-    }
-    break;
-  }
 }
 
 std::shared_ptr<const VmExecutable> halide::vmCompile(
@@ -725,8 +674,7 @@ int VmExecutable::run(const ParamBindings &Params,
 
   const int Threads =
       T.NumThreads > 0 ? T.NumThreads : taskSchedulerThreads();
-  Runner R(Prog, BufKinds, StageIds, TraceStageIds, TraceTypeCodes,
-           Threads < 1 ? 1 : Threads);
+  Runner R(Prog, BufKinds, Threads < 1 ? 1 : Threads);
   R.exec(Root, 0);
 
   if (Stats) {

@@ -63,16 +63,6 @@ private:
   /// Per-buffer element kinds (vm/VmExecutable.cpp's ElemKind), computed
   /// at compile time so runs do not rebuild the table per frame.
   std::vector<uint8_t> BufKinds;
-  /// Process-wide profiler stage ids, one per Prog.StageNames entry
-  /// (resolved once here so ProfEnter/ProfExit dispatch is a table
-  /// lookup). Empty for uninstrumented programs.
-  std::vector<int> StageIds;
-  /// Per-buffer trace stage ids and packed element type codes
-  /// (observe/TraceStream.h), one per buffer-table slot, resolved once
-  /// here so trace dispatch never touches the name registry. Populated
-  /// only when the program contains trace ops.
-  std::vector<int> TraceStageIds;
-  std::vector<uint8_t> TraceTypeCodes;
   mutable std::once_flag ListingOnce;
   mutable std::string Listing;
 };

@@ -23,6 +23,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 using namespace halide;
@@ -70,14 +71,17 @@ Buffer<float> makeInput(int W, int H) {
 }
 
 // Stats comparison rides on ExecutionStats::operator== (the determinism
-// contract lives in runtime/Tracing.h, shared with the differential
+// contract lives in runtime/ExecutionStats.h, shared with the differential
 // harness and the parity tests).
 
+/// Counts this process's JIT scratch directories (/tmp/hl_jit_<pid>_*):
+/// other test processes JIT-compile concurrently under `ctest -j`.
 int countJitTempDirs() {
+  const std::string Prefix = "hl_jit_" + std::to_string(getpid()) + "_";
   int Count = 0;
   if (DIR *D = opendir("/tmp")) {
     while (const dirent *E = readdir(D))
-      if (std::string(E->d_name).rfind("hl_jit_", 0) == 0)
+      if (std::string(E->d_name).rfind(Prefix, 0) == 0)
         ++Count;
     closedir(D);
   }

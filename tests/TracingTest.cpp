@@ -1,7 +1,7 @@
 //===-- tests/TracingTest.cpp ---------------------------------------------===//
 //
 // The observability contract of Target::Trace (observe/TraceStream.h +
-// transforms/InjectTracing.h):
+// transforms/Instrument.h):
 //
 //  * Zero cost when off: the trace bit never reaches the lowering
 //    fingerprint or the lowered IR — one cached lowering serves both the
@@ -18,6 +18,9 @@
 //    equal the run's ExecutionStats, and the trace-derived recomputation
 //    factor reproduces the Figure-3 shape (breadth-first 1.0, overlapping
 //    tiles > 1).
+//  * Stage selection: Func::traceLoads()/traceStores()/
+//    traceRealizations() on one stage yield only that stage's events of
+//    that kind, identically on every engine.
 //  * Threaded runs: a multi-threaded trace interleaves at flush
 //    granularity but is the same event *multiset* as the serial trace.
 //
@@ -26,6 +29,7 @@
 #include "apps/Apps.h"
 #include "lang/ImageParam.h"
 #include "observe/MetricsRegistry.h"
+#include "observe/Profiler.h"
 #include "observe/TraceStream.h"
 #include "runtime/TaskScheduler.h"
 #include "support/DiffTest.h"
@@ -272,6 +276,71 @@ TEST(TracingTest, EnginesEmitIdenticalSerialStreams) {
                      (std::string(S.Name) + ": interpreter vs vm").c_str());
     expectSameStream(Interp, Jit,
                      (std::string(S.Name) + ": interpreter vs jit_c").c_str());
+  }
+}
+
+TEST(TracingTest, PerStageFlagsSelectOnlyThatStage) {
+  // One flag on the intermediate stage: only that stage's events of that
+  // kind appear (no input-image or output events), identically on every
+  // engine.
+  struct FlagCase {
+    const char *Name;
+    Func &(Func::*Set)();
+    std::vector<TraceEventKind> Kinds;
+  };
+  const std::vector<FlagCase> Cases = {
+      {"traceLoads", &Func::traceLoads, {TraceEventKind::TraceLoad}},
+      {"traceStores", &Func::traceStores, {TraceEventKind::TraceStore}},
+      {"traceRealizations",
+       &Func::traceRealizations,
+       {TraceEventKind::TraceBegin, TraceEventKind::TraceEnd}},
+  };
+  const int W = 32, H = 24;
+  for (const FlagCase &C : Cases) {
+    BlurHarness B;
+    std::vector<Buffer<uint8_t>> Keep;
+    ParamBindings Params = B.params(W, H, &Keep);
+    B.Blurx.computeRoot();
+    (B.Blurx.*C.Set)();
+    LoweredPipeline P = lower(B.Out.function());
+
+    ExecutionStats Stats;
+    std::vector<TraceEvent> Interp = accessStream(
+        runTraced(Target::interpreter(), P, Params, "flag_interp", &Stats));
+    std::vector<TraceEvent> Vm = accessStream(
+        runTraced(Target::vm().withThreads(1), P, Params, "flag_vm"));
+    std::vector<TraceEvent> Jit = accessStream(runTraced(
+        Target::jit().withJitFlags("-O0"), P, Params, "flag_jit"));
+
+    ASSERT_FALSE(Interp.empty()) << C.Name;
+    const int BlurxId = profilerStageId(B.Blurx.name());
+    std::map<TraceEventKind, int64_t> Lanes, Records;
+    for (const TraceEvent &E : Interp) {
+      EXPECT_EQ(E.StageId, BlurxId) << C.Name << ": " << eventStr(E);
+      EXPECT_NE(std::find(C.Kinds.begin(), C.Kinds.end(), E.Kind),
+                C.Kinds.end())
+          << C.Name << ": " << eventStr(E);
+      Lanes[E.Kind] += int64_t(E.Bits.size());
+      ++Records[E.Kind];
+    }
+    // Every selected access is traced: lanes match the run's counters,
+    // and the one breadth-first realization opens and closes once.
+    switch (C.Kinds[0]) {
+    case TraceEventKind::TraceLoad:
+      EXPECT_EQ(Lanes[C.Kinds[0]], Stats.LoadsPerBuffer[B.Blurx.name()]);
+      break;
+    case TraceEventKind::TraceStore:
+      EXPECT_EQ(Lanes[C.Kinds[0]], Stats.StoresPerBuffer[B.Blurx.name()]);
+      break;
+    default:
+      EXPECT_EQ(Records[TraceEventKind::TraceBegin], 1);
+      EXPECT_EQ(Records[TraceEventKind::TraceEnd], 1);
+      break;
+    }
+    expectSameStream(Interp, Vm,
+                     (std::string(C.Name) + ": interpreter vs vm").c_str());
+    expectSameStream(Interp, Jit,
+                     (std::string(C.Name) + ": interpreter vs jit_c").c_str());
   }
 }
 
