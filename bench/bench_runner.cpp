@@ -30,7 +30,8 @@
 // restricts the run to one registered app. Requesting more --threads
 // than the host has cores warns and is recorded in the JSON baseline
 // (threads_oversubscribed), since such rows time contention, not
-// speedup. When BENCH_seed.json is readable and records a different
+// speedup. When the source tree's BENCH_seed.json (its path is compiled
+// in, so the check works from any directory) records a different
 // host_threads than this machine's, a warning is printed and the
 // mismatch lands in the JSON output (baseline_host_threads_mismatch) —
 // rows timed on different core counts are not comparable.
@@ -344,7 +345,7 @@ int main(int Argc, char **Argv) {
                  "parallel speedup\n",
                  Threads, HostThreads);
 
-  const int BaselineThreads = baselineHostThreads("BENCH_seed.json");
+  const int BaselineThreads = baselineHostThreads(HALIDE_BENCH_SEED_JSON);
   const bool BaselineMismatch =
       BaselineThreads > 0 && HostThreads > 0 && BaselineThreads != HostThreads;
   if (BaselineMismatch)

@@ -117,7 +117,10 @@ App halide::makeInterpolateApp() {
     Var x("x"), y("y");
     // Pyramid levels at root (they are reused globally); fuse the x-pass
     // of each resample into its consumer's scanlines; parallelize and
-    // vectorize the large fine levels.
+    // vectorize the large fine levels. The premultiplied input (down0) is
+    // stored too: inlined, every down1 pixel would redo 16 clamped input
+    // gathers, while stored it is read back with stride-2 vector loads.
+    Downsampled[0].computeRoot().parallel(y).vectorize(x, 8);
     for (int L = 1; L < PyramidLevels; ++L) {
       Func D = Downsampled[L];
       D.computeRoot();

@@ -177,30 +177,40 @@ App halide::makeLocalLaplacianApp(int Levels, int IntensityLevels) {
       F.schedule().StoreLevel = LoopLevel::root();
     });
   };
-  A.ScheduleTuned = [ForEachStage, OutFn]() mutable {
+  // The stages the tuned schedule stores, with their pyramid level.
+  // Everything else is inlined: ll_gpyr0, every ll_lpyr/ll_lup, every
+  // ll_outlpyr, the collapse's upsamples and all x-passes of resampling.
+  std::vector<std::pair<Function, int>> Stored = {{Floating.function(), 0}};
+  for (int L = 1; L < J; ++L) {
+    Stored.push_back({GPyramid[L].function(), L});
+    Stored.push_back({InGPyramid[L].function(), L});
+  }
+  for (int L = 0; L < J - 1; ++L)
+    Stored.push_back({OutGPyramid[L].function(), L});
+  A.ScheduleTuned = [ForEachStage, OutFn, Stored, Remap]() mutable {
+    // The paper's store-versus-recompute choice: the K remapped images
+    // and their Laplacian pyramid are never stored at full resolution, so
+    // the data-dependent level select evaluates only the 2 intensity
+    // levels each pixel uses. The coarser remapped levels, the input
+    // pyramid, ll_float, the LUT and the collapse stay at root with
+    // parallel scanlines, k inside y. Only levels 0-4 vectorize: rounding
+    // a coarse level's x extent up to 8 compounds through bounds
+    // inference into every finer level's footprint.
     Function Copy = OutFn;
     Copy.resetSchedule();
-    // The paper's tuned schedule mixes strategies across the 99 stages; we
-    // approximate its shape: x-passes of resampling fuse into their
-    // consumers' scanlines (inline), pyramid levels at root with parallel
-    // scanlines and vectorized x on the large fine levels.
-    ForEachStage([](Function &F) {
-      F.resetSchedule();
-      bool IsXPass = endsWith(F.name(), "_dx") || endsWith(F.name(), "_ux");
-      if (IsXPass && !F.hasUpdateDefinition())
-        return; // stays inline: fused into the y pass
-      F.schedule().ComputeLevel = LoopLevel::root();
-      F.schedule().StoreLevel = LoopLevel::root();
-      // Parallel over the outermost dimension, vectorize x by 8.
-      if (!F.schedule().Dims.empty()) {
-        Dim &Outer = F.schedule().Dims.front();
-        if (!Outer.IsRVar)
-          Outer.Kind = ForType::Parallel;
-      }
-    });
-    Func OutF(Copy);
-    Var x("x"), y("y");
-    OutF.parallel(y).vectorize(x, 8);
+    ForEachStage([](Function &F) { F.resetSchedule(); });
+    Remap.computeRoot();
+    Var x("x"), y("y"), k("k");
+    for (auto &[Fn, Level] : Stored) {
+      Func F(Fn);
+      F.computeRoot();
+      if (Fn.dimensions() == 3)
+        F.reorder(x, k, y);
+      F.parallel(y);
+      if (Level <= 4)
+        F.vectorize(x, 8);
+    }
+    Func(Copy).parallel(y).vectorize(x, 8);
   };
   A.ScheduleGpu = [ForEachStage, OutFn]() mutable {
     Function Copy = OutFn;

@@ -656,6 +656,36 @@ private:
     return Name;
   }
 
+  /// Load of p[0], p[2], ..., p[2(Lanes-1)] (a constant stride-2 ramp, the
+  /// downsample-by-2 access of every pyramid stage): two dense loads,
+  /// [p, p+Lanes) and [p+Lanes-1, p+2*Lanes-1), and one two-vector lane
+  /// shuffle. The second load starts one element early so neither reads
+  /// past the last lane's own element.
+  std::string vectorStride2LoadHelper(Type T) {
+    internal_assert(nativeVectorOk(T));
+    needVectorType(T);
+    Type MaskT = vecMaskType(T);
+    needVectorType(MaskT);
+    std::string VT = vecCType(T), CT = scalarCType(T.element());
+    std::string Name = VT + "_load_s2";
+    const int L = T.Lanes;
+    // Lane l reads p[2l]: r holds p[0..L), hi holds p[L-1..2L-1), and the
+    // shuffle indexes their concatenation.
+    needHelper(Name,
+               "static inline " + VT + " " + Name + "(const " + CT +
+                   " *p) {\n  " + VT + " r, hi;\n  memcpy(&r, p, sizeof(r));"
+                   "\n  memcpy(&hi, p + " + std::to_string(L - 1) +
+                   ", sizeof(hi));\n  return __builtin_shuffle(r, hi, (" +
+                   vecCType(MaskT) + ")" +
+                   laneList(L,
+                            [&](int I) {
+                              return std::to_string(2 * I < L ? 2 * I
+                                                              : 2 * I + 1);
+                            }) +
+                   ");\n}");
+    return Name;
+  }
+
   std::string vectorGatherHelper(Type T, Type IndexT) {
     needVectorType(T);
     needVectorType(IndexT);
@@ -943,8 +973,9 @@ private:
     if (Op->NodeType.isScalar())
       return Buf + "[" + emit(Op->Index) + "]";
     // Classify the vector access (paper section 4.5): dense ramp loads and
-    // stores become contiguous; constant-strided ramps become strided;
-    // everything else is a gather.
+    // stores become contiguous; stride-2 ramps become two dense loads and a
+    // shuffle; other constant-strided ramps become strided; everything
+    // else is a gather.
     if (const Ramp *R = Op->Index.as<Ramp>()) {
       int64_t Stride;
       if (asConstInt(R->Stride, &Stride)) {
@@ -957,6 +988,10 @@ private:
           return vectorReverseLoadHelper(Op->NodeType) + "(&" + Buf + "[(" +
                  emit(R->Base) + ") - " +
                  std::to_string(Op->NodeType.Lanes - 1) + "])";
+        // Stride 2 (downsampling): two dense loads plus one shuffle.
+        if (Stride == 2 && nativeVectorOk(Op->NodeType))
+          return vectorStride2LoadHelper(Op->NodeType) + "(&" + Buf + "[" +
+                 emit(R->Base) + "])";
       }
       return vectorStridedLoadHelper(Op->NodeType) + "(&" + Buf + "[" +
              emit(R->Base) + "], " + emit(R->Stride) + ")";

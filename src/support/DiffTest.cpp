@@ -24,15 +24,15 @@ using namespace halide;
 
 namespace {
 
-/// C-backend host-compiler flags: HALIDE_DIFF_JIT_FLAGS wins over the
-/// option so CI can pin the flags per job — notably
+/// C-backend host-compiler flags: HALIDE_DIFF_JIT_FLAGS wins over
+/// Default so CI can pin the flags per job — notably
 /// "-O2 -fno-tree-vectorize", which proves the emitted vector code
 /// carries the SIMD rather than the host compiler's auto-vectorizer.
-std::string diffJitFlags(const DiffOptions &Opts) {
+std::string diffJitFlags(const std::string &Default) {
   const char *Env = std::getenv("HALIDE_DIFF_JIT_FLAGS");
   if (Env && *Env)
     return Env;
-  return Opts.JitFlags;
+  return Default;
 }
 
 /// The suite's execution target: the HALIDE_DIFF_BACKEND environment
@@ -48,7 +48,7 @@ Target diffExecTarget(const DiffOptions &Opts) {
     user_assert(Target::parse(Env, &T))
         << "HALIDE_DIFF_BACKEND=" << Env << " is not a valid backend name";
     if (T.TargetBackend == Backend::JitC)
-      T = T.withJitFlags(diffJitFlags(Opts));
+      T = T.withJitFlags(diffJitFlags(Opts.JitFlags));
     return T;
   }
   return Opts.ExecTarget;
@@ -100,6 +100,10 @@ std::string statsSummary(const ExecutionStats &S) {
 }
 
 } // namespace
+
+Target halide::diffJitTarget() {
+  return Target::jit().withJitFlags(diffJitFlags(""));
+}
 
 int halide::runOnBackend(const Target &T, const LoweredPipeline &P,
                          const ParamBindings &Params,
@@ -461,9 +465,8 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
       RawBuffer OutC = makeAppOutput(A, W, H, &KeepC);
       ParamBindings PB = Inputs;
       PB.bind(A.Output.name(), OutC);
-      int Rc =
-          runOnBackend(Target::jit().withJitFlags(diffJitFlags(Opts)), P,
-                       PB);
+      int Rc = runOnBackend(
+          Target::jit().withJitFlags(diffJitFlags(Opts.JitFlags)), P, PB);
       std::string Detail;
       if (Rc != 0)
         R.Mismatches.push_back(
@@ -517,16 +520,30 @@ DiffReport halide::runScheduleDifferential(App &A, const DiffOptions &Opts) {
             else if (E.Kind == TraceEventKind::TraceStore)
               Stores[Names[E.StageId]] += int64_t(E.Coords.size());
           }
-          if (Loads != SerialStats.LoadsPerBuffer ||
-              Stores != SerialStats.StoresPerBuffer) {
+          // Compiled C keeps no per-buffer counters, so there the
+          // reference counts come from a VM run of the same lowering.
+          ExecutionStats RefStats = SerialStats;
+          std::string RefName = ExecName;
+          if (ExecSerial.usesJit()) {
+            std::shared_ptr<void> KeepVm;
+            ParamBindings PV = Inputs;
+            PV.bind(A.Output.name(), makeAppOutput(A, W, H, &KeepVm));
+            RefStats = ExecutionStats();
+            runOnBackend(Target::vm(), P, PV, &RefStats);
+            RefName = "vm";
+          }
+          if (Loads != RefStats.LoadsPerBuffer ||
+              Stores != RefStats.StoresPerBuffer) {
             // Render the trace-derived counts through the stats printer
             // so the diagnostic lines up field-for-field.
-            ExecutionStats TraceStats = SerialStats;
+            ExecutionStats TraceStats = RefStats;
             TraceStats.LoadsPerBuffer = std::move(Loads);
             TraceStats.StoresPerBuffer = std::move(Stores);
             R.Mismatches.push_back(
-                {Desc, "trace-derived vs " + ExecName + " memory traffic",
-                 "stats {" + statsSummary(SerialStats) + "} trace {" +
+                {Desc,
+                 "trace-derived " + ExecName + " vs " + RefName +
+                     " memory traffic",
+                 "stats {" + statsSummary(RefStats) + "} trace {" +
                      statsSummary(TraceStats) + "}"});
           }
         }

@@ -61,6 +61,12 @@ int runOnBackend(const Target &T, const LoweredPipeline &P,
                  const ParamBindings &Params,
                  ExecutionStats *Stats = nullptr);
 
+/// Target::jit() carrying the HALIDE_DIFF_JIT_FLAGS host-compiler flags
+/// when that variable is set. Tests that compile single pipelines use it,
+/// so a CI leg that pins the flags (e.g. AddressSanitizer on the generated
+/// code) reaches them as well as the schedule sweep.
+Target diffJitTarget();
+
 /// Options controlling a differential run.
 struct DiffOptions {
   int Width = 96;
@@ -131,8 +137,10 @@ struct DiffOptions {
   /// trace's per-lane load/store records per buffer must reproduce the
   /// untraced run's ExecutionStats LoadsPerBuffer/StoresPerBuffer exactly
   /// — the instrumentation neither perturbs the computation nor drops or
-  /// duplicates an access. 0 disables. The HALIDE_DIFF_TRACE environment
-  /// variable overrides it process-wide (0 to disable).
+  /// duplicates an access. (Compiled C keeps no such counters, so on a
+  /// jit_c engine the counts come from a VM run of the same lowering.) 0
+  /// disables. The HALIDE_DIFF_TRACE environment variable overrides it
+  /// process-wide (0 to disable).
   int TraceParityChecks = 1;
   /// Also push every schedule through the C backend (compile + dlopen).
   bool RunCodeGenC = true;

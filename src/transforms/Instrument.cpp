@@ -41,8 +41,10 @@ Stmt bracketStage(const std::string &Stage, Stmt Body) {
 
 class Instrument : public IRMutator {
 public:
-  Instrument(const std::map<std::string, Function> &Env, const Target &T)
-      : Env(Env), Profile(T.Profile), Trace(T.Trace) {
+  Instrument(const std::map<std::string, Function> &Env,
+             const std::string &OutputName, const Target &T)
+      : Env(Env), OutputName(OutputName), Profile(T.Profile),
+        Trace(T.Trace) {
     for (const auto &[Name, F] : Env)
       if (F.traceLoads() || F.traceStores() || F.traceRealizations())
         TraceAll = false;
@@ -66,6 +68,7 @@ public:
 
 private:
   const std::map<std::string, Function> &Env;
+  const std::string &OutputName;
   const bool Profile, Trace;
   /// With no per-stage flags anywhere, a traced target traces everything.
   bool TraceAll = true;
@@ -124,10 +127,15 @@ private:
     // producer's exit *is* the consume transition (the enclosing stage
     // resumes accumulating self time). Produce bodies are bracketed on
     // their uninstrumented shape, so the update recognition below never
-    // sees trace hooks.
+    // sees trace hooks. The output stage is entered once, around the
+    // whole pipeline body (see instrument()), so its own produce node
+    // only gets the per-update sub-stages.
     Stmt Body = Op->Body;
-    if (Profile && Op->IsProducer)
-      Body = bracketStage(Op->Name, bracketUpdates(Op->Name, Body));
+    if (Profile && Op->IsProducer) {
+      Body = bracketUpdates(Op->Name, Body);
+      if (Op->Name != OutputName)
+        Body = bracketStage(Op->Name, Body);
+    }
     Body = mutate(Body);
     if (Body.sameAs(Op->Body))
       return Op;
@@ -174,14 +182,13 @@ LoweredPipeline instrument(const LoweredPipeline &P, const Target &T) {
   LoweredPipeline Out = P;
   if (!P.Body.defined())
     return Out;
-  Instrument M(P.Env, T);
-  Out.Body = M.mutate(P.Body);
   const std::string OutputName = P.Output.name();
+  Instrument M(P.Env, OutputName, T);
+  Out.Body = M.mutate(P.Body);
   // The whole pipeline body is the output stage's production; bracket it
-  // so time outside any inner producer (the output's own loops) is
-  // attributed to the output stage rather than lost.
-  const ProducerConsumer *PC = P.Body.as<ProducerConsumer>();
-  if (T.Profile && !(PC && PC->IsProducer && PC->Name == OutputName))
+  // so time outside any inner producer (the preamble, the output's own
+  // loops) is attributed to the output stage rather than lost.
+  if (T.Profile)
     Out.Body = bracketStage(OutputName, Out.Body);
   // The output buffer is caller-allocated (no Allocate node); bracket the
   // whole pipeline with its realization using the buffer's extent

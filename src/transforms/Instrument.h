@@ -11,11 +11,12 @@
 /// through one path into runtimeHook():
 ///
 ///   - Profile brackets every stage's produce body with prof_enter /
-///     prof_exit. Entering a producer suspends the enclosing stage's self
-///     time (the consume transition), and when a produce body's
-///     statement chain is recognizably "init ; update(0) ; ..." each
-///     update is also bracketed as its own "name.update(k)" sub-stage
-///     (observe/Profiler.h).
+///     prof_exit; the output stage's bracket is the whole pipeline body,
+///     so it is entered once per run. Entering a producer suspends the
+///     enclosing stage's self time (the consume transition), and when a
+///     produce body's statement chain is recognizably
+///     "init ; update(0) ; ..." each update is also bracketed as its own
+///     "name.update(k)" sub-stage (observe/Profiler.h).
 ///   - Trace follows Func::traceLoads()/traceStores()/traceRealizations()
 ///     (with no per-stage flag anywhere, every buffer is traced, input
 ///     images included). A traced Load becomes a trace.load hook around

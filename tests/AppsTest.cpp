@@ -2,12 +2,14 @@
 //
 // For every paper app: the tuned (and GPU) schedules must produce output
 // identical to the breadth-first schedule — the schedule can never change
-// the meaning of the algorithm.
+// the meaning of the algorithm. Compiled-C legs honour
+// HALIDE_DIFF_JIT_FLAGS, so CI can run them with sanitized generated code.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/CallGraph.h"
 #include "apps/Apps.h"
+#include "support/DiffTest.h"
 
 #include <cstring>
 #include <gtest/gtest.h>
@@ -41,7 +43,9 @@ RawBuffer makeOutput(const App &A, int W, int H,
 
 void expectSameOutput(App &A, const std::function<void()> &SchedA,
                       const std::function<void()> &SchedB, int W, int H,
-                      const char *Label) {
+                      const char *Label,
+                      const Target &TA = diffJitTarget(),
+                      const Target &TB = diffJitTarget()) {
   ParamBindings Inputs = A.MakeInputs(W, H);
 
   std::shared_ptr<void> KeepA, KeepB;
@@ -49,20 +53,37 @@ void expectSameOutput(App &A, const std::function<void()> &SchedA,
   RawBuffer OutB = makeOutput(A, W, H, &KeepB);
 
   SchedA();
-  auto CA = Pipeline(A.Output).compile(Target::jit());
+  auto CA = Pipeline(A.Output).compile(TA);
   ParamBindings PA = Inputs;
   PA.bind(A.Output.name(), OutA);
   ASSERT_EQ(CA->run(PA), 0);
 
   SchedB();
-  auto CB = Pipeline(A.Output).compile(Target::jit());
+  auto CB = Pipeline(A.Output).compile(TB);
   ParamBindings PB = Inputs;
   PB.bind(A.Output.name(), OutB);
   ASSERT_EQ(CB->run(PB), 0);
 
   int64_t Bytes = OutA.numElements() * OutA.ElemType.bytes();
   EXPECT_EQ(std::memcmp(OutA.Host, OutB.Host, size_t(Bytes)), 0)
-      << A.Name << ": " << Label;
+      << A.Name << ": " << Label << " on " << TA.str() << " vs "
+      << TB.str();
+}
+
+/// The store-versus-recompute schedules (inlined pyramids, stored
+/// premultiply) must be bit-exact on every engine, not just compiled C.
+void expectTunedMatchesOnAllEngines(App &A, int W, int H) {
+  for (const Target &T : {Target::vm(), diffJitTarget()})
+    expectSameOutput(A, A.ScheduleBreadthFirst, A.ScheduleTuned, W, H,
+                     "tuned vs breadth-first", T, T);
+  // The tree-walking interpreter runs breadth-first ~40x slower than the
+  // VM, which reproduces it bit for bit (ExecutionStatsParityTest). So
+  // its leg runs only the tuned schedule, on a quarter-size frame, against
+  // the VM's breadth-first output, to stay inside the test timeout under
+  // sanitizers.
+  expectSameOutput(A, A.ScheduleBreadthFirst, A.ScheduleTuned, W / 2, H / 2,
+                   "tuned vs breadth-first", Target::vm(),
+                   Target::interpreter());
 }
 
 } // namespace
@@ -99,14 +120,44 @@ TEST(AppsTest, CameraPipeTunedMatchesBreadthFirst) {
 
 TEST(AppsTest, InterpolateTunedMatchesBreadthFirst) {
   App A = makeInterpolateApp();
-  expectSameOutput(A, A.ScheduleBreadthFirst, A.ScheduleTuned, 128, 96,
-                   "tuned vs breadth-first");
+  expectTunedMatchesOnAllEngines(A, 128, 96);
 }
 
 TEST(AppsTest, LocalLaplacianTunedMatchesBreadthFirst) {
   App A = makeLocalLaplacianApp(/*Levels=*/4);
-  expectSameOutput(A, A.ScheduleBreadthFirst, A.ScheduleTuned, 128, 96,
-                   "tuned vs breadth-first");
+  expectTunedMatchesOnAllEngines(A, 128, 96);
+}
+
+TEST(AppsTest, LocalLaplacianTunedStoresNoLaplacianPlanes) {
+  // The tuned schedule's point is what it does not store: the Laplacian
+  // pyramid of the K remapped images is inlined into the level select,
+  // so only 2 of the K levels are evaluated per pixel. Re-materializing
+  // those planes would keep the output bit-exact but show up here.
+  App A = makeLocalLaplacianApp(/*Levels=*/3);
+  const int W = 128, H = 96;
+  auto Run = [&](const std::function<void()> &Sched) {
+    Sched();
+    ParamBindings P = A.MakeInputs(W, H);
+    std::shared_ptr<void> Keep;
+    P.bind(A.Output.name(), makeOutput(A, W, H, &Keep));
+    ExecutionStats S;
+    EXPECT_EQ(Pipeline(A.Output).compile(Target::vm())->run(P, &S), 0);
+    return S;
+  };
+  ExecutionStats BreadthFirst = Run(A.ScheduleBreadthFirst);
+  ExecutionStats Tuned = Run(A.ScheduleTuned);
+  // Stage names may carry a uniquifying "$n" suffix when an earlier test
+  // still holds same-named stages, so match by prefix.
+  auto LaplacianStores = [](const ExecutionStats &S) {
+    int64_t N = 0;
+    for (const auto &[Buf, Count] : S.StoresPerBuffer)
+      if (startsWith(Buf, "ll_lpyr") || startsWith(Buf, "ll_lup"))
+        N += Count;
+    return N;
+  };
+  EXPECT_GT(LaplacianStores(BreadthFirst), 0);
+  EXPECT_EQ(LaplacianStores(Tuned), 0);
+  EXPECT_LT(2 * Tuned.totalStores(), BreadthFirst.totalStores());
 }
 
 TEST(AppsTest, HistogramEqualizeTunedMatchesBreadthFirst) {
@@ -150,7 +201,7 @@ TEST(AppsTest, HistogramEqualizeFlattensHistogram) {
   ParamBindings Params = A.MakeInputs(W, H);
   Buffer<uint8_t> Out(W, H);
   Params.bind(A.Output.name(), Out);
-  auto CP = Pipeline(A.Output).compile(Target::jit());
+  auto CP = Pipeline(A.Output).compile(diffJitTarget());
   ASSERT_EQ(CP->run(Params), 0);
   int MinV = 255, MaxV = 0;
   for (int Y = 0; Y < H; ++Y)

@@ -200,6 +200,20 @@ TEST(ProfilerTest, ThreadedRunDoesNotDoubleCount) {
   EXPECT_FALSE(Serial.empty());
 }
 
+TEST(ProfilerTest, OutputStageEnteredOncePerRun) {
+  // The output stage is bracketed around the whole pipeline body only, not
+  // again at its own produce node, so each run enters it exactly once.
+  App A = makeBlurApp();
+  A.ScheduleTuned();
+  const int Runs = 3;
+  for (const Target &T : {Target::interpreter(), Target::vm(), Target::jit()}) {
+    ScopedProfiler Scope;
+    timedRuns(A, T.withThreads(1).withProfile(), 64, 48, Runs);
+    std::map<std::string, int64_t> Calls = invocationsByStage();
+    EXPECT_EQ(Calls[A.Output.name()], Runs) << T.str();
+  }
+}
+
 TEST(ProfilerTest, TracedServingFrameEmitsSpans) {
   App A = makeBlurApp();
   A.ScheduleTuned();

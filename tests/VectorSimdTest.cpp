@@ -4,6 +4,9 @@
 //  - CodeGenC emits native GCC vector types and restrict buffer pointers.
 //  - Reversed (stride -1) ramps classify as dense load/store + lane
 //    reverse, not gathers/scatters.
+//  - Stride-2 ramps (downsampling) classify as two dense loads + one
+//    shuffle that stay inside the lanes' own range, and execute correctly
+//    when the last lane reads a buffer's final element.
 //  - Clamped-boundary stencil loads (off + clamp(ramp, lo, hi), the shape
 //    In(clamp(x+dx, 0, W-1), y) lowers to) classify as a clamped dense
 //    load — memcpy in the interior, per-lane clamp at the edges — not a
@@ -24,6 +27,7 @@
 #include "codegen/Jit.h"
 #include "lang/ImageParam.h"
 #include "lang/Pipeline.h"
+#include "support/DiffTest.h"
 #include "vm/VmCompiler.h"
 #include "vm/VmExecutable.h"
 
@@ -101,10 +105,69 @@ TEST(VectorSimdTest, ReversedRampExecutesCorrectlyOnAllBackends) {
   {
     ParamBindings P;
     P.bind(F.name(), FromJit);
-    ASSERT_EQ(jitCompile(LP)->run(P), 0);
+    ASSERT_EQ(jitCompile(LP, diffJitTarget())->run(P), 0);
   }
   for (int X = 0; X < N; ++X) {
     int32_t Want = ((127 - X) * 3 + 1) + (X * 3 + 1);
+    ASSERT_EQ(FromInterp(X), Want) << "interp at " << X;
+    ASSERT_EQ(FromVm(X), Want) << "vm at " << X;
+    ASSERT_EQ(FromJit(X), Want) << "jit at " << X;
+  }
+}
+
+/// f(x) = src(2x) + src(2x+1): the downsample-by-2 access of every pyramid
+/// stage. Both taps are constant stride-2 ramps.
+Func stride2Downsample(ImageParam Src, const std::string &Name) {
+  Var x("x");
+  Func F(Name);
+  F(x) = Src(2 * x) + Src(2 * x + 1);
+  F.vectorize(x, 8);
+  return F;
+}
+
+TEST(VectorSimdTest, Stride2RampIsTwoDenseLoadsPlusShuffle) {
+  ImageParam Src(Int(32), 1, "s2_src");
+  Func F = stride2Downsample(Src, "s2_out");
+  std::string Source = codegenC(lower(F.function()), "test_fn");
+  EXPECT_NE(Source.find("_load_s2(&"), std::string::npos);
+  EXPECT_NE(Source.find("__builtin_shuffle(r, hi, ("), std::string::npos);
+  EXPECT_NE(Source.find("){0, 2, 4, 6, 9, 11, 13, 15});"), std::string::npos);
+  EXPECT_EQ(Source.find("_load_strided"), std::string::npos);
+  EXPECT_EQ(Source.find("_gather"), std::string::npos);
+}
+
+TEST(VectorSimdTest, Stride2RampExecutesCorrectlyOnAllBackends) {
+  // The source holds exactly 2N elements, so the last lane group's
+  // src(2x+1) tap reads the buffer's final element: the shuffle form's
+  // second dense load must end there, not one lane group past it.
+  const int N = 64;
+  ImageParam Src(Int(32), 1, "s2x_src");
+  Func F = stride2Downsample(Src, "s2x_out");
+  LoweredPipeline LP = lower(F.function());
+
+  Buffer<int32_t> Input(2 * N);
+  Input.fill([](int X) { return X * X - 7 * X; });
+  ParamBindings Params;
+  Params.bind(Src.name(), Input);
+
+  Buffer<int32_t> FromInterp(N), FromVm(N), FromJit(N);
+  {
+    ParamBindings P = Params;
+    P.bind(F.name(), FromInterp);
+    interpret(LP, P);
+  }
+  {
+    ParamBindings P = Params;
+    P.bind(F.name(), FromVm);
+    ASSERT_EQ(vmCompile(LP, Target::vm())->run(P), 0);
+  }
+  {
+    ParamBindings P = Params;
+    P.bind(F.name(), FromJit);
+    ASSERT_EQ(jitCompile(LP, diffJitTarget())->run(P), 0);
+  }
+  for (int X = 0; X < N; ++X) {
+    int32_t Want = Input(2 * X) + Input(2 * X + 1);
     ASSERT_EQ(FromInterp(X), Want) << "interp at " << X;
     ASSERT_EQ(FromVm(X), Want) << "vm at " << X;
     ASSERT_EQ(FromJit(X), Want) << "jit at " << X;
@@ -181,7 +244,7 @@ TEST(VectorSimdTest, ClampedRampExecutesCorrectlyAtBoundaries) {
   {
     ParamBindings P = Params;
     P.bind(F.name(), FromJit);
-    ASSERT_EQ(jitCompile(LP)->run(P), 0);
+    ASSERT_EQ(jitCompile(LP, diffJitTarget())->run(P), 0);
   }
   for (int Y = 0; Y < H; ++Y)
     for (int X = 0; X < W; ++X) {
@@ -265,7 +328,7 @@ TEST(VectorSimdTest, VectorDivModFloorSemanticsParity) {
   {
     ParamBindings P = Params;
     P.bind(F.name(), FromJit);
-    ASSERT_EQ(jitCompile(LP)->run(P), 0);
+    ASSERT_EQ(jitCompile(LP, diffJitTarget())->run(P), 0);
   }
   for (int Y = 0; Y < H; ++Y)
     for (int X = 0; X < W; ++X) {
@@ -316,7 +379,7 @@ TEST(VectorSimdTest, NonDivisibleVectorizedInternalUpdateStageIsSafe) {
   {
     ParamBindings P = Params;
     P.bind(Out.name(), FromJit);
-    ASSERT_EQ(jitCompile(LP)->run(P), 0);
+    ASSERT_EQ(jitCompile(LP, diffJitTarget())->run(P), 0);
   }
   for (int X = 0; X < 100; ++X) {
     ASSERT_EQ(FromInterp(X), Want[size_t(X)]) << "interp at " << X;
@@ -343,7 +406,7 @@ TEST(VectorSimdTest, NonDivisibleVectorizedOutputAbortsAtRunTime) {
   Func F("ndrt_out");
   F(x) = x * 2;
   F.vectorize(x, 8);
-  auto CP = jitCompile(lower(F.function()));
+  auto CP = jitCompile(lower(F.function()), diffJitTarget());
   Buffer<int32_t> Out(100);
   ParamBindings P;
   P.bind(F.name(), Out);
